@@ -56,6 +56,10 @@ CHECK_FAILED = 1
 USAGE_ERROR = 2
 RUNTIME_ERROR = 3
 
+# Deviation of the exponential model's recentered log-residual CDF from the
+# Gumbel CDF that still counts as exact (its fixed point).
+_FIXED_POINT_TOL = 1e-13
+
 
 class UsageError(Exception):
     pass
@@ -281,11 +285,14 @@ def cmd_residual(args) -> int:
         for r in (1.0, 5.0, 30.0)
         for x in np.linspace(-2.0, 6.0, 81)
     )
-    fixed_point_ok = fixed_point_dev <= 1e-13
+    fixed_point_ok = fixed_point_dev <= _FIXED_POINT_TOL
 
+    # A distance at or below the fixed-point tolerance is roundoff: the curve
+    # has converged and need not shrink further as r grows.
     ordered = sorted(args.r)
     decreasing = all(
-        sups_shifted[b] < sups_shifted[a] for a, b in zip(ordered, ordered[1:])
+        sups_shifted[b] < sups_shifted[a] or sups_shifted[b] <= _FIXED_POINT_TOL
+        for a, b in zip(ordered, ordered[1:])
     )
     passed = (
         decreasing

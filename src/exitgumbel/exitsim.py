@@ -6,8 +6,9 @@ boundary exit. Exits through the right end oppose the drift and become
 exponentially rare as epsilon shrinks; this module provides
 
 * exact-transition and Euler-Maruyama integrators (exit at grid times),
-* rejection sampling of right-conditioned exits, reproducible for any
-  worker count,
+* rejection sampling of right-conditioned exits in lockstep batches that
+  stop an attempt once its side is settled, reproducible for any worker
+  count,
 * the pathwise exit-time construction driven by a realization of the
   exponentially discounted noise integral, and
 * the closed-form limit law of the normalized exit time together with a
@@ -19,6 +20,7 @@ for epsilon under shared noise.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -59,6 +61,15 @@ _NOISE_DECAY_TARGET = 1e-9
 _FOLLOWUP_CHUNK = 2048
 _MAX_CHUNK = 65536
 _BLOCK_ATTEMPTS = 2048
+# Conditioned sampling runs the attempts of a block in lockstep batches of
+# _BATCH_ATTEMPTS, drawing at most _PIECE normals per attempt per round.
+_BATCH_ATTEMPTS = 128
+_PIECE = 512
+# Bound on the chance that an attempt stopped early would still have
+# exited right, and the Gaussian quantile with 2*tail(z) <= that bound
+# (see _rejection_depth).
+_REJECTION_DELTA = 1e-15
+_REJECTION_Z = 8.02685888253454
 
 
 @dataclass(frozen=True)
@@ -504,30 +515,106 @@ def right_exit_probability(beta: float, a: float) -> float:
     return gaussian_tail(r)
 
 
-def _conditioned_block(args):
-    problem, stream, start, stop = args
+def _rejection_depth(problem: ExitProblem) -> float:
+    """Depth c (in Y units) at which an attempt is settled as not exiting right.
+
+    After a step with Y <= -c, a right exit needs the discounted sum of the
+    future noise, s * sum_j g^-j xi_j, to exceed c. That sum is symmetric
+    with variance below s^2/(g^2 - 1) = 1/(2 beta) for the exact
+    coefficients, so by Levy's maximal inequality its running maximum
+    exceeds c with probability at most 2*tail(c*sqrt(2 beta)) <=
+    _REJECTION_DELTA. c is clipped to the left boundary, where the path
+    exits anyway.
+    """
+    c = _REJECTION_Z / math.sqrt(2.0 * problem.model.beta)
+    return min(c, -problem.left / problem.epsilon)
+
+
+def _batch_right_exits(problem, stream, attempts, gens, draws, sums):
+    """Right exits of a lockstep batch of attempts, in attempt order.
+
+    Row r runs attempt attempts[r] on gens[r], seated at its substream, so
+    its normals are those `simulate_exit_exact` would draw. The logical
+    chunks and power-array offsets are those of `_run_linear_exit`; each
+    chunk is consumed in pieces of at most _PIECE steps, and the running
+    cumulative sum enters column 0 of the next piece, so every sequential
+    sum is formed in the same order and each accepted record is
+    bit-identical to the reference one. An attempt leaves the batch at its
+    first step with Y >= right/epsilon (accepted) or Y <= -c (rejected,
+    see `_rejection_depth`). `draws` and `sums` are (len(gens), _PIECE + 1)
+    work buffers.
+    """
+    growth, scale = _exact_coefficients(problem)
+    first, followup = _chunk_schedule(problem, growth)
+    y_right = problem.right / problem.epsilon
+    floor = -_rejection_depth(problem)
+    h, centering = problem.step, problem.centering_time
+
+    live = [stream.seat(gen, i) for gen, i in zip(gens, attempts)]
+    index = np.asarray(attempts)
+    y = np.full(index.size, -problem.a)
     hits = []
-    for attempt in range(start, stop):
-        record = simulate_exit_exact(problem, stream.substream(attempt))
-        if record.side == "right":
-            hits.append(
-                (attempt, record.tau, record.normalized_time, record.steps_taken)
-            )
-    return hits
-
-
-def _finalize(hit_rows, n_accept, attempts_cap):
-    records = []
-    indices = []
-    for attempt, tau, normalized, steps in hit_rows[:n_accept]:
-        records.append(
-            ExitRecord(tau=tau, side="right", normalized_time=normalized, steps_taken=steps)
-        )
-        indices.append(attempt)
-    attempts = indices[-1] + 1 if len(indices) == n_accept else attempts_cap
-    return ConditionedSample(
-        records=tuple(records), attempt_indices=tuple(indices), attempts=attempts
+    steps_done, remaining, chunk = 0, problem.guard_steps, first
+    while remaining > 0:
+        size = min(chunk, remaining)
+        pos, neg = _power_arrays(growth, size)
+        carry = np.zeros(index.size)
+        for lo in range(0, size, _PIECE):
+            hi = min(lo + _PIECE, size)
+            xi = draws[: index.size, : hi - lo + 1]
+            for gen, row in zip(live, xi):
+                gen.standard_normal(out=row[1:])
+            xi[:, 1:] *= neg[lo:hi]
+            xi[:, 0] = carry
+            cum = sums[: index.size, : hi - lo + 1]
+            np.add.accumulate(xi, axis=1, out=cum)
+            carry = cum[:, -1].copy()
+            ys = cum[:, 1:]
+            ys *= scale
+            ys += y[:, None]
+            ys *= pos[lo:hi]
+            y_end = ys[:, -1].copy()
+            decided = (ys >= y_right) | (ys <= floor)
+            rows = np.flatnonzero(decided.any(axis=1))
+            if rows.size == 0:
+                continue
+            for r, k in zip(rows.tolist(), decided[rows].argmax(axis=1).tolist()):
+                if ys[r, k] >= y_right:
+                    steps = steps_done + lo + k + 1
+                    tau = steps * h
+                    hits.append((int(index[r]), tau, tau - centering, steps))
+            keep = np.ones(index.size, dtype=bool)
+            keep[rows] = False
+            if not keep.any():
+                return sorted(hits)
+            live = [gen for gen, kept in zip(live, keep.tolist()) if kept]
+            index, y, carry, y_end = index[keep], y[keep], carry[keep], y_end[keep]
+        y = y_end
+        steps_done += size
+        remaining -= size
+        chunk = followup
+    raise GuardExceeded(
+        f"no exit within guard horizon {problem.guard_horizon} "
+        f"({problem.guard_steps} steps)"
     )
+
+
+def _conditioned_block(args):
+    """Right exits of attempts [start, stop) as (attempt, tau, normalized
+    time, steps) rows in attempt order, run in lockstep batches. Stops after
+    the batch in which the block has found `need` of them: no later attempt
+    can be among the first `need` acceptances."""
+    problem, stream, start, stop, need = args
+    gens = [np.random.Generator(np.random.Philox(key=0)) for _ in range(_BATCH_ATTEMPTS)]
+    draws = np.empty((_BATCH_ATTEMPTS, _PIECE + 1))
+    sums = np.empty_like(draws)
+    hits = []
+    for lo in range(start, stop, _BATCH_ATTEMPTS):
+        attempts = range(lo, min(lo + _BATCH_ATTEMPTS, stop))
+        hits.extend(_batch_right_exits(problem, stream, attempts, gens, draws, sums))
+        if len(hits) >= need:
+            break
+    return hits
 
 
 def sample_conditioned_exits(
@@ -541,14 +628,26 @@ def sample_conditioned_exits(
 
     The noise for attempt i depends only on (stream, i), and accepted
     records are returned in attempt order, so the result is identical for
-    every worker count. Raises BudgetExceeded when the attempt cap is (or
-    is projected to be) insufficient, which signals that the right exit is
-    too rare for rejection and the limit-law sampler should be used.
+    every worker count: workers <= 1 runs the same blocks in-process, one at a
+    time. Raises BudgetExceeded when the attempt cap is (or is projected to
+    be) insufficient, which signals that the right exit is too rare for
+    rejection and the limit-law sampler should be used.
+
+    Attempts are simulated in lockstep batches that stop each attempt early
+    once its side is settled: at its first step with Y = X/epsilon <= -c,
+    c = z/sqrt(2 beta) where 2*tail(z) = delta = 1e-15 (c clipped to the
+    left boundary). By Levy's maximal inequality such an attempt would still
+    exit right with probability at most delta, so the output is within
+    total-variation distance delta * attempts of running every attempt to
+    its exit with `simulate_exit_exact`, the reference sampler. Every
+    accepted record is bit-identical to that sampler's record for the same
+    substream.
     """
     if n_accept < 1:
         raise ValueError(f"n_accept must be >= 1, got {n_accept}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    workers = max(1, workers)
     if isinstance(rng, np.random.Generator):
         raise TypeError("conditioned sampling needs an RngStream (or seed), not a Generator")
     stream = rng if isinstance(rng, RngStream) else RngStream(int(rng))
@@ -561,45 +660,46 @@ def sample_conditioned_exits(
             f"(limit acceptance rate {p_limit:.3g}); use limit_law_sample instead"
         )
 
-    if workers <= 1:
-        hits = []
-        attempts = 0
-        while len(hits) < n_accept:
-            if attempts >= budget:
-                raise BudgetExceeded(
-                    f"budget {budget} exhausted with {len(hits)} acceptances"
-                )
-            record = simulate_exit_exact(problem, stream.substream(attempts))
-            if record.side == "right":
-                hits.append(
-                    (attempts, record.tau, record.normalized_time, record.steps_taken)
-                )
-            attempts += 1
-        return _finalize(hits, n_accept, attempts)
-
     hits = []
     next_block = 0
     max_blocks = int(math.ceil(budget / _BLOCK_ATTEMPTS))
-    estimate = int(math.ceil((n_accept + 4.0 * math.sqrt(n_accept) + 16.0) / p_limit))
-    wave_blocks = max(workers, int(math.ceil(estimate / _BLOCK_ATTEMPTS)))
-    with ProcessPoolExecutor(max_workers=workers) as pool:
+    wave_blocks = 1
+    pool = None
+    if workers > 1:
+        estimate = int(math.ceil((n_accept + 4.0 * math.sqrt(n_accept) + 16.0) / p_limit))
+        wave_blocks = max(workers, int(math.ceil(estimate / _BLOCK_ATTEMPTS)))
+        pool = ProcessPoolExecutor(max_workers=workers)
+    with pool or contextlib.nullcontext():
+        run = pool.map if pool else map
         while len(hits) < n_accept:
             if next_block >= max_blocks:
                 raise BudgetExceeded(
                     f"budget {budget} exhausted with {len(hits)} acceptances"
                 )
             wave = range(next_block, min(next_block + wave_blocks, max_blocks))
+            need = n_accept - len(hits)
             tasks = [
                 (
                     problem,
                     stream,
                     b * _BLOCK_ATTEMPTS,
                     min((b + 1) * _BLOCK_ATTEMPTS, budget),
+                    need,
                 )
                 for b in wave
             ]
-            for block_hits in pool.map(_conditioned_block, tasks):
+            for block_hits in run(_conditioned_block, tasks):
                 hits.extend(block_hits)
             next_block = wave.stop
             wave_blocks = max(workers, wave_blocks // 2)
-    return _finalize(hits, n_accept, next_block * _BLOCK_ATTEMPTS)
+
+    records = []
+    indices = []
+    for attempt, tau, normalized, steps in hits[:n_accept]:
+        records.append(
+            ExitRecord(tau=tau, side="right", normalized_time=normalized, steps_taken=steps)
+        )
+        indices.append(attempt)
+    return ConditionedSample(
+        records=tuple(records), attempt_indices=tuple(indices), attempts=indices[-1] + 1
+    )

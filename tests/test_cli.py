@@ -167,6 +167,22 @@ class TestResidualCommand:
         assert code == 0
         assert report["shifted_cdf_sup_distance"]["5"] <= 1e-13
 
+    def test_exponential_roundoff_counts_as_converged(self, tmp_path, capsys):
+        # the README form: sups at r = 10 and 30 are roundoff (~1e-15) and
+        # need not decrease
+        code = main(["residual", "--model", "exponential", "--r", "10", "30", "--output-dir", str(tmp_path)])
+        report = _stdout_json(capsys)
+        assert code == 0
+        assert report["strictly_decreasing_in_r"] is True
+        assert max(report["shifted_cdf_sup_distance"].values()) <= 1e-13
+
+    def test_nondecreasing_sups_above_tolerance_fail(self, tmp_path, capsys):
+        code = main(["residual", "--r", "20", "20", "--grid-step", "0.1", "--output-dir", str(tmp_path)])
+        report = _stdout_json(capsys)
+        assert code == 1
+        assert report["strictly_decreasing_in_r"] is False
+        assert report["shifted_cdf_sup_distance"]["20"] > 1e-13
+
 
 class TestExitExperiment:
     def test_small_run_and_repeatability(self, tmp_path, capsys):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from exitgumbel import exitsim
 from exitgumbel import (
     BudgetExceeded,
     EmpiricalSample,
@@ -15,6 +16,7 @@ from exitgumbel import (
     RngStream,
     duhamel_exit_time,
     gaussian_cdf,
+    gaussian_log_tail,
     ks_one_sample,
     ks_two_sample,
     limit_law_cdf,
@@ -309,6 +311,14 @@ class TestConditionedSampling:
         parallel = sample_conditioned_exits(p, 30, RngStream(17), workers=2)
         assert serial == parallel
 
+    def test_nonpositive_workers_run_in_process(self):
+        p = _problem()
+        n = 200  # more right exits than one block of attempts holds
+        serial = sample_conditioned_exits(p, n, RngStream(17), workers=1)
+        assert serial.attempts > exitsim._BLOCK_ATTEMPTS
+        for workers in (0, -3):
+            assert sample_conditioned_exits(p, n, RngStream(17), workers=workers) == serial
+
     def test_budget_projection_raises_early(self):
         # a*sqrt(2*beta) ~ 6: limit acceptance ~1e-9, hopeless for rejection
         p = ExitProblem(model=BETA1, epsilon=1e-4, a=4.25, step=1e-3)
@@ -323,6 +333,89 @@ class TestConditionedSampling:
         want = right_exit_probability(1.0, 1.0)
         se = math.sqrt(want * (1.0 - want) / cs.attempts)
         assert abs(cs.acceptance_rate - want) <= 3.0 * se
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_guard_exceeded_propagates(self, workers):
+        p = _problem()
+        object.__setattr__(p, "guard_horizon", 0.05)  # 50 steps: no attempt can decide
+        with pytest.raises(GuardExceeded):
+            simulate_exit_exact(p, RngStream(1).substream(0))
+        with pytest.raises(GuardExceeded):
+            sample_conditioned_exits(p, 5, RngStream(1), workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_budget_exhaustion(self, workers):
+        # seed 1: attempts 0..599 hold 39 right exits, the last at attempt 599
+        p, budget = _problem(), 600
+        stream = RngStream(1)
+        want = [i for i in range(budget) if simulate_exit_exact(p, stream.substream(i)).side == "right"]
+        assert len(want) == 39 and want[-1] == budget - 1
+        cs = sample_conditioned_exits(p, 39, stream, budget=budget, workers=workers)
+        assert list(cs.attempt_indices) == want and cs.attempts == budget
+        assert 40 / right_exit_probability(1.0, 1.0) <= budget  # not refused by projection
+        with pytest.raises(BudgetExceeded, match="exhausted with 39"):
+            sample_conditioned_exits(p, 40, stream, budget=budget, workers=workers)
+
+    def test_serial_stops_within_one_batch_of_last_acceptance(self, monkeypatch):
+        simulated = []
+        kernel = exitsim._batch_right_exits
+
+        def counting(problem, stream, attempts, *buffers):
+            simulated.extend(attempts)
+            return kernel(problem, stream, attempts, *buffers)
+
+        monkeypatch.setattr(exitsim, "_batch_right_exits", counting)
+        cs = sample_conditioned_exits(_problem(), 30, RngStream(17), workers=1)
+        assert simulated == list(range(len(simulated)))
+        assert cs.attempts <= len(simulated) <= cs.attempts + exitsim._BATCH_ATTEMPTS
+
+
+class TestBatchedKernel:
+    """The lockstep kernel behind `sample_conditioned_exits` against the
+    reference sampler `simulate_exit_exact`."""
+
+    # A1 physics: pieces end inside the 6621-step first chunk, and many right
+    # exits come after it. beta=20: chunks of 346 then 1500 steps, so pieces
+    # also end inside the follow-up chunks.
+    PROBLEMS = {
+        "a1": dict(),
+        "steep": dict(model=LinearDriftModel(20.0), a=0.2),
+    }
+
+    @pytest.mark.parametrize("seed", [42, 7])
+    @pytest.mark.parametrize("name", sorted(PROBLEMS))
+    def test_accepted_records_equal_reference(self, name, seed):
+        p = _problem(**self.PROBLEMS[name])
+        stream = RngStream(seed)
+        n = 3 * exitsim._BATCH_ATTEMPTS + 17
+        got = exitsim._conditioned_block((p, stream, 0, n, math.inf))
+        want = []
+        for i in range(n):
+            rec = simulate_exit_exact(p, stream.substream(i))
+            if rec.side == "right":
+                want.append((i, rec.tau, rec.normalized_time, rec.steps_taken))
+        assert got == want
+
+        first, followup = exitsim._chunk_schedule(p, math.exp(p.model.beta * p.step))
+        assert first % exitsim._PIECE or followup % exitsim._PIECE
+        assert any(steps > first for *_, steps in want)
+
+    @pytest.mark.parametrize("beta", [0.25, 1.0, 4.0])
+    def test_rejection_depth_bounds_wrong_rejection(self, beta):
+        p = _problem(model=LinearDriftModel(beta))
+        c = exitsim._rejection_depth(p)
+        assert c < -p.left / p.epsilon
+        assert math.log(2.0) + gaussian_log_tail(c * math.sqrt(2.0 * beta)) <= math.log(1e-15)
+
+    def test_rejection_quantile_matches_delta(self):
+        z, delta = exitsim._REJECTION_Z, exitsim._REJECTION_DELTA
+        assert delta == 1e-15
+        assert math.log(2.0) + gaussian_log_tail(z) <= math.log(delta)
+        assert math.log(2.0) + gaussian_log_tail(z - 1e-3) > math.log(delta)
+
+    def test_rejection_depth_clipped_to_left_boundary(self):
+        p = _problem(epsilon=0.5)  # left boundary at Y = -2, closer than c ~ 5.7
+        assert exitsim._rejection_depth(p) == 2.0
 
 
 class TestTruncatedGaussian:

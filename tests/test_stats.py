@@ -49,6 +49,23 @@ class TestRngStream:
             RngStream(seed=0, stream_id=1 << 64)
         with pytest.raises(ValueError):
             RngStream(seed=5).substream(-1)
+        with pytest.raises(ValueError):
+            RngStream(seed=5).substream(1 << 128)
+
+    @pytest.mark.parametrize("index", [0, 1, 2048, 2**64 + 5])
+    def test_seat_matches_substream(self, index):
+        s = RngStream(seed=77, stream_id=3)
+        gen = s.seat(RngStream(seed=1).substream(9), index)
+        assert np.array_equal(gen.standard_normal(600), s.substream(index).standard_normal(600))
+
+    def test_seating_leaves_other_generators_alone(self):
+        s = RngStream(seed=12)
+        first = s.seat(np.random.Generator(np.random.Philox(key=0)), 3)
+        head = first.standard_normal(5)
+        second = s.seat(np.random.Generator(np.random.Philox(key=0)), 4)
+        second.standard_normal(7)
+        want = s.substream(3).standard_normal(10)
+        assert np.array_equal(np.concatenate([head, first.standard_normal(5)]), want)
 
     def test_picklable(self):
         s = RngStream(seed=11, stream_id=2)
