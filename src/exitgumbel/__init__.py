@@ -24,6 +24,7 @@ from .errors import (
     GridMismatch,
     GuardExceeded,
     NoBracket,
+    NonFiniteResult,
     ZeroTail,
 )
 from .evt import (

@@ -30,7 +30,7 @@ from .distributions import (
     log_residual_density,
     shifted_log_residual_density,
 )
-from .errors import ExitGumbelError
+from .errors import ExitGumbelError, NonFiniteResult
 from .evt import gnedenko_lhs, max_cdf, sample_normalized_max, solve_normalizers, standard_gaussian_sampler
 from .exitsim import (
     ExitProblem,
@@ -75,12 +75,20 @@ def _default_seed() -> int:
         raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
+def _json(payload: dict) -> str:
+    """Strict JSON: a NaN or infinity is a runtime fault, never a token."""
+    try:
+        return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteResult(f"report holds a non-finite value ({exc})") from exc
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json(payload))
 
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    path.write_text(_json(payload) + "\n")
 
 
 def _write_curve(path: Path, fmt: str, xs, exact, limit) -> None:
@@ -114,6 +122,23 @@ def _grid(args) -> np.ndarray:
     return lo + step * np.arange(n + 1)
 
 
+def _check_thresholds(thresholds) -> None:
+    for r in thresholds:
+        if not (r > 0.0 and math.isfinite(r)):
+            raise UsageError(f"--r thresholds must be positive and finite, got {r}")
+
+
+def _exponential_fixed_point_deviation() -> float:
+    """Largest deviation of the exponential model's recentered log-residual
+    CDF from the Gumbel CDF, which it equals exactly."""
+    exp_model = exponential_tail_model()
+    return max(
+        abs(shifted_log_residual_cdf(exp_model, r, x) - gumbel_cdf(x))
+        for r in (1.0, 5.0, 30.0)
+        for x in np.linspace(-2.0, 6.0, 81)
+    )
+
+
 def _resolved_config(args, **extra) -> dict:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     config.update(extra)
@@ -130,6 +155,7 @@ def _outdir(args) -> Path:
 def cmd_exit_experiment(args) -> int:
     """Sample conditioned exits, compare with the limit law, write samples
     and a KS report."""
+    args.workers = max(1, min(args.workers, os.cpu_count() or 1))
     out = _outdir(args)
     problem = ExitProblem(
         model=LinearDriftModel(beta=args.beta),
@@ -175,13 +201,12 @@ def cmd_exit_experiment(args) -> int:
 def cmd_density_convergence(args) -> int:
     """Recentered conditional-density curves against the Gumbel density,
     one curve per threshold, with sup distances."""
+    _check_thresholds(args.r)
     out = _outdir(args)
     xs = _grid(args)
     limit = np.asarray([gumbel_density(x) for x in xs])
     sups = {}
     for r in args.r:
-        if r <= 0.0:
-            raise UsageError(f"thresholds must be positive, got {r}")
         exact = np.asarray([shifted_log_residual_density(r, x) for x in xs])
         _write_curve(out / f"density_r{r:g}", args.format, xs, exact, limit)
         sups[r] = float(np.max(np.abs(exact - limit)))
@@ -260,6 +285,7 @@ def cmd_evt(args) -> int:
 def cmd_residual(args) -> int:
     """Scaled residual tails and recentered log-residual CDFs against their
     limits, plus the memoryless exact fixed point."""
+    _check_thresholds(args.r)
     out = _outdir(args)
     model = gaussian_tail_model() if args.model == "gaussian" else exponential_tail_model()
     xs = _grid(args)
@@ -267,8 +293,6 @@ def cmd_residual(args) -> int:
     sups_scaled = {}
     sups_shifted = {}
     for r in args.r:
-        if r <= 0.0:
-            raise UsageError(f"thresholds must be positive, got {r}")
         scaled = np.asarray([scaled_residual(model, r, x) for x in xs_pos])
         scaled_limit = np.exp(-xs_pos)
         _write_curve(out / f"residual_scaled_{model.name}_r{r:g}", args.format, xs_pos, scaled, scaled_limit)
@@ -279,12 +303,7 @@ def cmd_residual(args) -> int:
         _write_curve(out / f"residual_shifted_{model.name}_r{r:g}", args.format, xs, shifted, gumbel)
         sups_shifted[r] = float(np.max(np.abs(shifted - gumbel)))
 
-    exp_model = exponential_tail_model()
-    fixed_point_dev = max(
-        abs(shifted_log_residual_cdf(exp_model, r, x) - gumbel_cdf(x))
-        for r in (1.0, 5.0, 30.0)
-        for x in np.linspace(-2.0, 6.0, 81)
-    )
+    fixed_point_dev = _exponential_fixed_point_deviation()
     fixed_point_ok = fixed_point_dev <= _FIXED_POINT_TOL
 
     # A distance at or below the fixed-point tolerance is roundoff: the curve
@@ -361,13 +380,7 @@ def _identity_checks(inject_failure: bool):
         worst_norm = max(worst_norm, abs(total - 1.0))
     checks.append(("conditional-density-normalization", worst_norm, 1e-8))
 
-    exp_model = exponential_tail_model()
-    fp = max(
-        abs(shifted_log_residual_cdf(exp_model, r, x) - gumbel_cdf(x))
-        for r in (1.0, 5.0, 30.0)
-        for x in np.linspace(-2.0, 6.0, 81)
-    )
-    checks.append(("exponential-fixed-point", fp, 1e-13))
+    checks.append(("exponential-fixed-point", _exponential_fixed_point_deviation(), _FIXED_POINT_TOL))
 
     g = gaussian_tail_model()
     alg = max(
@@ -485,7 +498,7 @@ def main(argv=None) -> int:
     except ValueError as exc:
         _emit({"error": {"type": "ValueError", "message": str(exc)}})
         return USAGE_ERROR
-    except ExitGumbelError as exc:
+    except (ExitGumbelError, OSError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return RUNTIME_ERROR
 

@@ -31,3 +31,7 @@ class ZeroTail(ExitGumbelError):
 
 class GridMismatch(ExitGumbelError):
     """Two grid curves do not share the same abscissae."""
+
+
+class NonFiniteResult(ExitGumbelError):
+    """A computed value meant for a JSON report is NaN or infinite."""

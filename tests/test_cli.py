@@ -4,15 +4,24 @@ import json
 
 import pytest
 
+from exitgumbel import cli
 from exitgumbel.cli import main
+from exitgumbel.exitsim import ConditionedSample, ExitRecord
+
+
+def _strict(text):
+    def reject(token):
+        raise ValueError(f"non-finite JSON token {token}")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def _read_json(path):
-    return json.loads(path.read_text())
+    return _strict(path.read_text())
 
 
 def _stdout_json(capsys):
-    return json.loads(capsys.readouterr().out)
+    return _strict(capsys.readouterr().out)
 
 
 class TestIdentitySuite:
@@ -35,6 +44,14 @@ class TestIdentitySuite:
         assert "FAIL" in out
         report = _read_json(tmp_path / "identity_report.json")
         assert report["pass"] is False
+
+    def test_output_dir_under_a_file_is_runtime_error(self, tmp_path, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        code = main(["identity-suite", "--output-dir", str(blocker / "sub")])
+        err = _stdout_json(capsys)
+        assert code == 3
+        assert err["error"]["type"] == "NotADirectoryError"
 
 
 class TestDensityConvergence:
@@ -81,6 +98,13 @@ class TestDensityConvergence:
         )
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize("r", ["inf", "nan"])
+    def test_nonfinite_r_is_usage_error(self, tmp_path, capsys, r):
+        code = main(["density-convergence", "--r", "10", r, "--output-dir", str(tmp_path)])
+        err = _stdout_json(capsys)
+        assert code == 2
+        assert "--r" in err["error"]["message"]
 
     def test_nonfinite_grid_is_usage_error(self, tmp_path, capsys):
         code = main(
@@ -184,6 +208,16 @@ class TestResidualCommand:
         assert report["shifted_cdf_sup_distance"]["20"] > 1e-13
 
 
+    def test_overflowing_r_is_runtime_error_never_nan(self, tmp_path, capsys):
+        # tail ratios overflow to NaN at r = 1e300: a typed fault, not a token
+        code = main(["residual", "--r", "1e300", "--output-dir", str(tmp_path)])
+        out = capsys.readouterr().out
+        assert code == 3
+        assert "NaN" not in out
+        assert _strict(out)["error"]["type"] == "NonFiniteResult"
+        assert not (tmp_path / "residual_report.json").exists()
+
+
 class TestExitExperiment:
     def test_small_run_and_repeatability(self, tmp_path, capsys):
         args = [
@@ -252,6 +286,26 @@ class TestExitExperiment:
         report = _stdout_json(capsys)
         assert code == 0
         assert report["config"]["seed"] == 777
+
+
+    def test_workers_clamped_to_cpu_count(self, tmp_path, capsys, monkeypatch):
+        seen = []
+
+        def fake_sampler(problem, n, stream, budget, workers):
+            seen.append(workers)
+            records = tuple(
+                ExitRecord(tau=5.0 + i, side="right", normalized_time=0.4 + i, steps_taken=5000 + i)
+                for i in range(n)
+            )
+            return ConditionedSample(records=records, attempt_indices=tuple(range(n)), attempts=n)
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli, "sample_conditioned_exits", fake_sampler)
+        base = ["exit-experiment", "--n", "4", "--ks-threshold", "1.0", "--output-dir", str(tmp_path)]
+        for requested, used in (("64", 3), ("2", 2), ("0", 1)):
+            assert main(base + ["--workers", requested]) == 0
+            assert _stdout_json(capsys)["config"]["workers"] == used
+        assert seen == [3, 2, 1]
 
 
 class TestParser:

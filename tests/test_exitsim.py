@@ -19,6 +19,7 @@ from exitgumbel import (
     gaussian_log_tail,
     ks_one_sample,
     ks_two_sample,
+    ks_two_sample_critical,
     limit_law_cdf,
     limit_law_sample,
     limit_normalized_time,
@@ -345,16 +346,16 @@ class TestConditionedSampling:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_budget_exhaustion(self, workers):
-        # seed 1: attempts 0..599 hold 39 right exits, the last at attempt 599
-        p, budget = _problem(), 600
+        # The budget ends exactly at the sampler's own 39th right exit.
+        p, n = _problem(), 39
         stream = RngStream(1)
-        want = [i for i in range(budget) if simulate_exit_exact(p, stream.substream(i)).side == "right"]
-        assert len(want) == 39 and want[-1] == budget - 1
-        cs = sample_conditioned_exits(p, 39, stream, budget=budget, workers=workers)
-        assert list(cs.attempt_indices) == want and cs.attempts == budget
-        assert 40 / right_exit_probability(1.0, 1.0) <= budget  # not refused by projection
-        with pytest.raises(BudgetExceeded, match="exhausted with 39"):
-            sample_conditioned_exits(p, 40, stream, budget=budget, workers=workers)
+        unbounded = sample_conditioned_exits(p, n, stream)
+        budget = unbounded.attempts
+        assert (n + 1) / right_exit_probability(1.0, 1.0) <= budget  # not refused by projection
+        cs = sample_conditioned_exits(p, n, stream, budget=budget, workers=workers)
+        assert cs == unbounded
+        with pytest.raises(BudgetExceeded, match=f"exhausted with {n}"):
+            sample_conditioned_exits(p, n + 1, stream, budget=budget, workers=workers)
 
     def test_serial_stops_within_one_batch_of_last_acceptance(self, monkeypatch):
         simulated = []
@@ -371,34 +372,81 @@ class TestConditionedSampling:
 
 
 class TestBatchedKernel:
-    """The lockstep kernel behind `sample_conditioned_exits` against the
-    reference sampler `simulate_exit_exact`."""
+    """The coarse-to-fine lockstep kernel behind `sample_conditioned_exits`
+    against the reference sampler `simulate_exit_exact`."""
 
-    # A1 physics: pieces end inside the 6621-step first chunk, and many right
-    # exits come after it. beta=20: chunks of 346 then 1500 steps, so pieces
-    # also end inside the follow-up chunks.
+    # A1 physics (wide band); beta=20, where exits come within a few dozen
+    # knots; epsilon=0.5, a narrow band where c is clipped to the left
+    # boundary and almost every interval is refined.
     PROBLEMS = {
         "a1": dict(),
         "steep": dict(model=LinearDriftModel(20.0), a=0.2),
+        "narrow": dict(epsilon=0.5),
     }
 
-    @pytest.mark.parametrize("seed", [42, 7])
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
-    def test_accepted_records_equal_reference(self, name, seed):
-        p = _problem(**self.PROBLEMS[name])
-        stream = RngStream(seed)
-        n = 3 * exitsim._BATCH_ATTEMPTS + 17
-        got = exitsim._conditioned_block((p, stream, 0, n, math.inf))
-        want = []
-        for i in range(n):
-            rec = simulate_exit_exact(p, stream.substream(i))
+    def test_law_matches_reference(self, name):
+        p, n = _problem(**self.PROBLEMS[name]), 2000
+        got = sample_conditioned_exits(p, n, RngStream(42, stream_id=1))
+        reference = RngStream(42, stream_id=2)
+        want, attempts = [], 0
+        while len(want) < n:
+            rec = simulate_exit_exact(p, reference.substream(attempts))
+            attempts += 1
             if rec.side == "right":
-                want.append((i, rec.tau, rec.normalized_time, rec.steps_taken))
-        assert got == want
+                want.append(rec.normalized_time)
+        ks = ks_two_sample(
+            EmpiricalSample.from_values(got.normalized_times()),
+            EmpiricalSample.from_values(want),
+        )
+        assert ks <= ks_two_sample_critical(n, n, 1.63)
+        pooled = 2 * n / (got.attempts + attempts)
+        se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / got.attempts + 1.0 / attempts))
+        assert abs(got.acceptance_rate - n / attempts) <= 3.0 * se
 
-        first, followup = exitsim._chunk_schedule(p, math.exp(p.model.beta * p.step))
-        assert first % exitsim._PIECE or followup % exitsim._PIECE
-        assert any(steps > first for *_, steps in want)
+    @pytest.mark.parametrize("m", [3, -1])
+    def test_bridge_fill_matches_bridge_law(self, m):
+        # guard 1250 steps: the last interval is 34 steps long
+        beta, h = 20.0, 1e-3
+        p = _problem(model=LinearDriftModel(beta), a=0.2, guard_horizon=1.25)
+        t = exitsim._coarse_tables(p)
+        m = m % t["start"].size
+        start, length = int(t["start"][m]), int(t["length"][m])
+        assert (m == 3 and length == exitsim._COARSE) or length == 1250 - 19 * 64
+
+        def clock_gain(k):
+            # V(start + k) - V(start) on the clock V(j) = (1 - g^-2j)/(2 beta)
+            return math.exp(-2.0 * beta * h * start) * -math.expm1(-2.0 * beta * h * k) / (2.0 * beta)
+
+        i, rows = length // 2, 20_000
+        dv, vi = clock_gain(length), clock_gain(i)
+        x, y = 0.3 * math.sqrt(dv), -0.4 * math.sqrt(dv)
+        normals = np.random.default_rng(8).standard_normal((rows, exitsim._COARSE))
+        fill = exitsim._bridge_fill(
+            t, np.full(rows, m), np.full(rows, x), np.full(rows, y), normals
+        )
+        assert np.all(fill[:, length - 1] == y)
+        mean, var = x + vi / dv * (y - x), vi * (dv - vi) / dv
+        mid = fill[:, i - 1]
+        assert abs(mid.mean() - mean) <= 4.0 * math.sqrt(var / rows)
+        assert abs(mid.var() / var - 1.0) <= 4.0 * math.sqrt(2.0 / rows)
+
+    def test_refine_flags_intervals_near_either_boundary(self):
+        p = _problem()
+        t = exitsim._coarse_tables(p)
+        m = 40
+        upper, lower = t["upper"][m], t["lower"][m]
+        sd = t["knot_sd"][m]
+        cases = {
+            "near right": (upper - 0.1 * sd, upper - 0.2 * sd, True),
+            "near left": (lower + 0.1 * sd, lower + 0.2 * sd, True),
+            "endpoint outside": (upper + sd, upper + 2.0 * sd, True),
+            "far from both": (p.a, p.a + sd, False),
+        }
+        prev = np.array([[c[0]] for c in cases.values()])
+        knots = np.array([[c[1]] for c in cases.values()])
+        flagged = exitsim._needs_refining(t, m, m + 1, prev, knots)[:, 0]
+        assert dict(zip(cases, flagged.tolist())) == {k: c[2] for k, c in cases.items()}
 
     @pytest.mark.parametrize("beta", [0.25, 1.0, 4.0])
     def test_rejection_depth_bounds_wrong_rejection(self, beta):
