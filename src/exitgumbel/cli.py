@@ -1,14 +1,16 @@
 """Command-line interface: every experiment as a subcommand.
 
 Exit codes: 0 all configured checks passed, 1 a check failed, 2 usage
-error, 3 runtime error (budget/guard/tail failures). Reports are JSON and
-carry the fully resolved configuration; curve files are CSV (or JSON with
---format json) with columns x, exact, limit, abs_error.
+error, 3 runtime error (budget/guard/tail failures, non-finite results).
+Each subcommand computes a report; `main` adds the fully resolved
+configuration, writes it as `<first word of the subcommand>_report.json`,
+prints it (identity-suite prints a table instead) and maps its `pass` to
+the exit code. Curve files are CSV (or JSON with --format json) with
+columns x, exact, limit, abs_error.
 """
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -41,11 +43,13 @@ from .exitsim import (
 )
 from .residual import scaled_residual, shifted_log_residual_cdf
 from .stats import (
+    FLOAT_FORMAT,
     EmpiricalSample,
     RngStream,
     integrate_adaptive_simpson,
     ks_one_sample,
     ks_two_sample_critical,
+    write_csv,
     write_sample_csv,
 )
 
@@ -59,6 +63,9 @@ RUNTIME_ERROR = 3
 # Deviation of the exponential model's recentered log-residual CDF from the
 # Gumbel CDF that still counts as exact (its fixed point).
 _FIXED_POINT_TOL = 1e-13
+
+# Most points a curve grid may have.
+_MAX_GRID_POINTS = 10**7
 
 
 class UsageError(Exception):
@@ -92,24 +99,23 @@ def _write_json(path: Path, payload: dict) -> None:
 
 
 def _write_curve(path: Path, fmt: str, xs, exact, limit) -> None:
-    xs = np.asarray(xs, dtype=float)
+    """Columns x, exact, limit, abs_error as `path`.csv or `path`.json. A
+    non-finite value raises NonFiniteResult before the file is opened."""
     exact = np.asarray(exact, dtype=float)
     limit = np.asarray(limit, dtype=float)
-    err = np.abs(exact - limit)
+    columns = {
+        "x": np.asarray(xs, dtype=float),
+        "exact": exact,
+        "limit": limit,
+        "abs_error": np.abs(exact - limit),
+    }
     if fmt == "json":
-        payload = {
-            "x": xs.tolist(),
-            "exact": exact.tolist(),
-            "limit": limit.tolist(),
-            "abs_error": err.tolist(),
-        }
-        _write_json(path.with_suffix(".json"), payload)
+        _write_json(path.with_suffix(".json"), {name: column.tolist() for name, column in columns.items()})
         return
-    with open(path.with_suffix(".csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(["x", "exact", "limit", "abs_error"])
-        for row in zip(xs, exact, limit, err):
-            writer.writerow([format(v, ".17g") for v in row])
+    if not all(np.isfinite(column).all() for column in columns.values()):
+        raise NonFiniteResult(f"curve {path.with_suffix('.csv').name} holds a non-finite value")
+    rows = ([format(v, FLOAT_FORMAT) for v in row] for row in zip(*columns.values()))
+    write_csv(path.with_suffix(".csv"), tuple(columns), rows)
 
 
 def _grid(args) -> np.ndarray:
@@ -118,14 +124,30 @@ def _grid(args) -> np.ndarray:
         raise UsageError("grid bounds and step must be finite")
     if step <= 0.0 or hi <= lo:
         raise UsageError("grid requires grid_min < grid_max and grid_step > 0")
-    n = int(round((hi - lo) / step))
-    return lo + step * np.arange(n + 1)
+    # round(span) + 1 points; an infinite span (overflow) is rejected too.
+    span = (hi - lo) / step
+    if not span < _MAX_GRID_POINTS - 0.5:
+        raise UsageError(f"--grid-step {step} gives more than {_MAX_GRID_POINTS} grid points")
+    return lo + step * np.arange(int(round(span)) + 1)
 
 
-def _check_thresholds(thresholds) -> None:
-    for r in thresholds:
+def _check_inputs(args) -> None:
+    """Range checks of the subcommand's numeric flags, before any work."""
+    for r in getattr(args, "r", ()):
         if not (r > 0.0 and math.isfinite(r)):
             raise UsageError(f"--r thresholds must be positive and finite, got {r}")
+    for name in ("tolerance", "ks_threshold", "mc_ks_threshold"):
+        value = getattr(args, name, None)
+        if value is not None and not (value >= 0.0 and math.isfinite(value)):
+            raise UsageError(f"--{name.replace('_', '-')} must be finite and >= 0, got {value}")
+    if getattr(args, "replicas", 0) < 0:
+        raise UsageError(f"--replicas must be >= 0, got {args.replicas}")
+
+
+def _decreasing(ordered, floor: float = -math.inf) -> bool:
+    """Whether the values strictly decrease; a value at or below `floor` is
+    roundoff and need not decrease further."""
+    return all(b < a or b <= floor for a, b in zip(ordered, ordered[1:]))
 
 
 def _exponential_fixed_point_deviation() -> float:
@@ -139,24 +161,16 @@ def _exponential_fixed_point_deviation() -> float:
     )
 
 
-def _resolved_config(args, **extra) -> dict:
+def _resolved_config(args) -> dict:
     config = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    config.update(extra)
     config["version"] = __version__
     return config
 
 
-def _outdir(args) -> Path:
-    out = Path(args.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
-def cmd_exit_experiment(args) -> int:
+def cmd_exit_experiment(args) -> dict:
     """Sample conditioned exits, compare with the limit law, write samples
-    and a KS report."""
+    and report the KS statistic."""
     args.workers = max(1, min(args.workers, os.cpu_count() or 1))
-    out = _outdir(args)
     problem = ExitProblem(
         model=LinearDriftModel(beta=args.beta),
         epsilon=args.epsilon,
@@ -171,7 +185,7 @@ def cmd_exit_experiment(args) -> int:
         (idx, rec.tau, rec.side, rec.normalized_time)
         for idx, rec in zip(conditioned.attempt_indices, conditioned.records)
     ]
-    samples_path = out / "exit_samples.csv"
+    samples_path = Path(args.output_dir) / "exit_samples.csv"
     write_sample_csv(samples_path, rows)
 
     sample = EmpiricalSample.from_values(conditioned.normalized_times())
@@ -181,8 +195,7 @@ def cmd_exit_experiment(args) -> int:
     rate_se = math.sqrt(p_limit * (1.0 - p_limit) / conditioned.attempts)
     ks_ok = ks <= args.ks_threshold
     rate_ok = abs(rate - p_limit) <= 3.0 * rate_se
-    report = {
-        "config": _resolved_config(args),
+    return {
         "attempts": conditioned.attempts,
         "accepted": len(conditioned.records),
         "acceptance_rate": rate,
@@ -193,16 +206,12 @@ def cmd_exit_experiment(args) -> int:
         "samples_file": str(samples_path),
         "pass": bool(ks_ok),
     }
-    _write_json(out / "exit_report.json", report)
-    _emit(report)
-    return PASS if ks_ok else CHECK_FAILED
 
 
-def cmd_density_convergence(args) -> int:
+def cmd_density_convergence(args) -> dict:
     """Recentered conditional-density curves against the Gumbel density,
     one curve per threshold, with sup distances."""
-    _check_thresholds(args.r)
-    out = _outdir(args)
+    out = Path(args.output_dir)
     xs = _grid(args)
     limit = np.asarray([gumbel_density(x) for x in xs])
     sups = {}
@@ -211,24 +220,19 @@ def cmd_density_convergence(args) -> int:
         _write_curve(out / f"density_r{r:g}", args.format, xs, exact, limit)
         sups[r] = float(np.max(np.abs(exact - limit)))
     ordered = [sups[r] for r in sorted(args.r)]
-    decreasing = all(b < a for a, b in zip(ordered, ordered[1:]))
-    passed = decreasing and ordered[-1] <= args.tolerance
-    report = {
-        "config": _resolved_config(args),
+    decreasing = _decreasing(ordered)
+    return {
         "sup_distance": {f"{r:g}": sups[r] for r in args.r},
         "strictly_decreasing_in_r": decreasing,
         "tolerance_at_largest_r": args.tolerance,
-        "pass": passed,
+        "pass": decreasing and ordered[-1] <= args.tolerance,
     }
-    _write_json(out / "density_report.json", report)
-    _emit(report)
-    return PASS if passed else CHECK_FAILED
 
 
-def cmd_evt(args) -> int:
+def cmd_evt(args) -> dict:
     """Normalizers, exceedance-count curves, normalized-max CDF curves, and
     an optional Monte Carlo KS cross-check of the exact finite-n law."""
-    out = _outdir(args)
+    out = Path(args.output_dir)
     for n in args.n:
         if n < 3:
             raise UsageError(f"block size n must be >= 3, got {n}")
@@ -246,8 +250,7 @@ def cmd_evt(args) -> int:
         _write_curve(out / f"exceedance_n{n}", args.format, xs, counts, limit_counts)
         _write_curve(out / f"maxcdf_n{n}", args.format, xs, cdfs, limit_gumbel)
         sups[n] = float(np.max(np.abs(cdfs - limit_gumbel)))
-    ordered = [sups[n] for n in sorted(args.n)]
-    decreasing = all(b < a for a, b in zip(ordered, ordered[1:]))
+    decreasing = _decreasing([sups[n] for n in sorted(args.n)])
     passed = decreasing
 
     mc_report = None
@@ -269,24 +272,19 @@ def cmd_evt(args) -> int:
         }
         passed = passed and mc_report["pass"]
 
-    report = {
-        "config": _resolved_config(args),
+    return {
         "normalizers": {str(n): normalizers[n] for n in args.n},
         "max_cdf_sup_distance": {str(n): sups[n] for n in args.n},
         "strictly_decreasing_in_n": decreasing,
         "monte_carlo": mc_report,
         "pass": passed,
     }
-    _write_json(out / "evt_report.json", report)
-    _emit(report)
-    return PASS if passed else CHECK_FAILED
 
 
-def cmd_residual(args) -> int:
+def cmd_residual(args) -> dict:
     """Scaled residual tails and recentered log-residual CDFs against their
     limits, plus the memoryless exact fixed point."""
-    _check_thresholds(args.r)
-    out = _outdir(args)
+    out = Path(args.output_dir)
     model = gaussian_tail_model() if args.model == "gaussian" else exponential_tail_model()
     xs = _grid(args)
     xs_pos = xs[xs >= 0.0] if np.any(xs >= 0.0) else xs
@@ -308,19 +306,15 @@ def cmd_residual(args) -> int:
 
     # A distance at or below the fixed-point tolerance is roundoff: the curve
     # has converged and need not shrink further as r grows.
-    ordered = sorted(args.r)
-    decreasing = all(
-        sups_shifted[b] < sups_shifted[a] or sups_shifted[b] <= _FIXED_POINT_TOL
-        for a, b in zip(ordered, ordered[1:])
-    )
+    largest = max(args.r)
+    decreasing = _decreasing([sups_shifted[r] for r in sorted(args.r)], _FIXED_POINT_TOL)
     passed = (
         decreasing
-        and sups_shifted[ordered[-1]] <= args.tolerance
-        and sups_scaled[ordered[-1]] <= args.tolerance
+        and sups_shifted[largest] <= args.tolerance
+        and sups_scaled[largest] <= args.tolerance
         and fixed_point_ok
     )
-    report = {
-        "config": _resolved_config(args),
+    return {
         "scaled_sup_distance": {f"{r:g}": sups_scaled[r] for r in args.r},
         "shifted_cdf_sup_distance": {f"{r:g}": sups_shifted[r] for r in args.r},
         "strictly_decreasing_in_r": decreasing,
@@ -329,12 +323,9 @@ def cmd_residual(args) -> int:
         "tolerance_at_largest_r": args.tolerance,
         "pass": passed,
     }
-    _write_json(out / "residual_report.json", report)
-    _emit(report)
-    return PASS if passed else CHECK_FAILED
 
 
-def _identity_checks(inject_failure: bool):
+def _identity_checks():
     checks = []
 
     grid = np.linspace(-5.0, 10.0, 61)
@@ -347,8 +338,6 @@ def _identity_checks(inject_failure: bool):
     checks.append(("gumbel-cdf-density-consistency", fd, 1e-8))
 
     ident = max(abs(gumbel_identity_residual(x)) for x in grid)
-    if inject_failure:
-        ident += 1e-6  # test hook: force a visible failure
     checks.append(("gumbel-log-identity", ident, 1e-12))
 
     rs = np.linspace(0.0, 8.0, 81)
@@ -393,27 +382,22 @@ def _identity_checks(inject_failure: bool):
     return checks
 
 
-def cmd_identity_suite(args) -> int:
+def cmd_identity_suite(args) -> dict:
     """Deterministic identity and invariant checks, one pass/fail row each."""
-    out = _outdir(args)
-    rows = []
-    all_ok = True
-    for name, value, bound in _identity_checks(args.inject_failure):
-        ok = value <= bound
-        all_ok = all_ok and ok
-        rows.append({"check": name, "value": value, "bound": bound, "pass": bool(ok)})
-    report = {
-        "config": _resolved_config(args),
-        "checks": rows,
-        "pass": bool(all_ok),
-    }
-    _write_json(out / "identity_report.json", report)
+    rows = [
+        {"check": name, "value": value, "bound": bound, "pass": bool(value <= bound)}
+        for name, value, bound in _identity_checks()
+    ]
+    return {"checks": rows, "pass": all(r["pass"] for r in rows)}
+
+
+def _print_checks(report: dict) -> None:
+    rows = report["checks"]
     width = max(len(r["check"]) for r in rows)
     for r in rows:
         status = "PASS" if r["pass"] else "FAIL"
         print(f"{r['check']:<{width}}  {status}  value={r['value']:.3e}  bound={r['bound']:.1e}")
-    print(f"identity suite: {'PASS' if all_ok else 'FAIL'}")
-    return PASS if all_ok else CHECK_FAILED
+    print(f"identity suite: {'PASS' if report['pass'] else 'FAIL'}")
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -473,7 +457,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_residual)
 
     p = sub.add_parser("identity-suite", help="deterministic identity and invariant checks")
-    p.add_argument("--inject-failure", action="store_true", help="test hook: perturb one check to verify failure detection")
     _add_common(p)
     p.set_defaults(func=cmd_identity_suite)
 
@@ -491,7 +474,17 @@ def main(argv=None) -> int:
             args.seed = _default_seed()
         if args.seed < 0:
             raise UsageError(f"seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        _check_inputs(args)
+        out = Path(args.output_dir)
+        out.mkdir(parents=True, exist_ok=True)
+        report = args.func(args)
+        report["config"] = _resolved_config(args)
+        _write_json(out / f"{args.subcommand.split('-')[0]}_report.json", report)
+        if args.subcommand == "identity-suite":
+            _print_checks(report)
+        else:
+            _emit(report)
+        return PASS if report["pass"] else CHECK_FAILED
     except UsageError as exc:
         _emit({"error": {"type": "UsageError", "message": str(exc)}})
         return USAGE_ERROR

@@ -224,13 +224,39 @@ def _power_arrays(growth: float, size: int):
     return pos, neg
 
 
+def _max_chunk(growth: float) -> int:
+    """Longest chunk: 30/ln(g) steps keep g^k within e^30, clipped to
+    [16, _MAX_CHUNK]."""
+    return max(16, min(_MAX_CHUNK, int(30.0 / math.log(growth))))
+
+
 def _chunk_schedule(problem: ExitProblem, growth: float):
     """First chunk sized to reach the typical exit depth in one pass."""
-    lg = math.log(growth)
-    max_chunk = max(16, min(_MAX_CHUNK, int(30.0 / lg)))
+    max_chunk = _max_chunk(growth)
     target_time = max(problem.step, problem.centering_time + 2.0 / problem.model.beta)
     first = min(max_chunk, int(target_time / problem.step) + 16)
     return first, min(_FOLLOWUP_CHUNK, max_chunk)
+
+
+def _linear_chunks(y, growth, noise_scale, draw, total, first, rest):
+    """Y_1..Y_total of the recursion Y <- growth*Y + noise_scale*xi from
+    Y_0 = y, in Y = X/epsilon units, as consecutive chunks of `first`, then
+    `rest` steps (the last one shorter). Each chunk is evaluated in closed
+    form on xi = draw(size), Y_k = g^k * (Y_0 + s * sum_j g^-j xi_j),
+    identical to stepping in exact arithmetic. Stops early when `draw`
+    returns no values.
+    """
+    size = first
+    while total > 0:
+        xi = draw(min(size, total))
+        if xi.size == 0:
+            return
+        pos, neg = _power_arrays(growth, xi.size)
+        ys = pos * (y + noise_scale * np.cumsum(neg * xi))
+        yield ys
+        y = float(ys[-1])
+        total -= xi.size
+        size = rest
 
 
 def _run_linear_exit(
@@ -239,48 +265,26 @@ def _run_linear_exit(
     noise_scale: float,
     draw: Callable[[int], np.ndarray],
 ) -> ExitRecord:
-    """Shared chunked driver for both integrators, in Y = X/epsilon units.
-
-    The per-step recursion Y <- growth*Y + noise_scale*xi is evaluated in
-    closed form over each chunk: Y_k = g^k * (Y_0 + s * sum_j g^-(j) xi_j),
-    identical to stepping in exact arithmetic.
-    """
-    eps = problem.epsilon
-    y_left = problem.left / eps
-    y_right = problem.right / eps
-    h = problem.step
-    centering = problem.centering_time
-
+    """First exit of the linear recursion from (left, right), shared by both
+    integrators and the noise replay; raises GuardExceeded without one."""
+    y_left = problem.left / problem.epsilon
+    y_right = problem.right / problem.epsilon
     first, followup = _chunk_schedule(problem, growth)
-    remaining = problem.guard_steps
+    chunks = _linear_chunks(-problem.a, growth, noise_scale, draw, problem.guard_steps, first, followup)
     steps_done = 0
-    y = -problem.a
-    chunk = first
-    while remaining > 0:
-        size = min(chunk, remaining)
-        xi = draw(size)
-        if xi.size == 0:
-            break
-        size = xi.size
-        pos, neg = _power_arrays(growth, size)
-        cum = np.cumsum(neg[:size] * xi)
-        ys = pos[:size] * (y + noise_scale * cum)
+    for ys in chunks:
         hit = (ys >= y_right) | (ys <= y_left)
         if hit.any():
             k = int(np.argmax(hit))
             steps = steps_done + k + 1
-            tau = steps * h
-            side = "right" if ys[k] >= y_right else "left"
+            tau = steps * problem.step
             return ExitRecord(
                 tau=tau,
-                side=side,
-                normalized_time=tau - centering,
+                side="right" if ys[k] >= y_right else "left",
+                normalized_time=tau - problem.centering_time,
                 steps_taken=steps,
             )
-        y = float(ys[-1])
-        steps_done += size
-        remaining -= size
-        chunk = followup
+        steps_done += ys.size
     raise GuardExceeded(
         f"no exit within guard horizon {problem.guard_horizon} "
         f"({problem.guard_steps} steps)"
@@ -329,22 +333,16 @@ def simulate_path(problem: ExitProblem, rng, n_steps: int) -> np.ndarray:
         raise ValueError("n_steps must be >= 1")
     gen = as_generator(rng)
     growth, scale = _exact_coefficients(problem)
-    lg = math.log(growth)
-    max_chunk = max(16, min(_MAX_CHUNK, int(30.0 / lg)))
-    out = np.empty(n_steps + 1, dtype=float)
-    out[0] = -problem.a
-    y = -problem.a
-    done = 0
-    while done < n_steps:
-        size = min(max_chunk, n_steps - done)
-        xi = gen.standard_normal(size)
-        pos, neg = _power_arrays(growth, size)
-        cum = np.cumsum(neg[:size] * xi)
-        ys = pos[:size] * (y + scale * cum)
-        out[done + 1 : done + 1 + size] = ys
-        y = float(ys[-1])
-        done += size
-    return problem.epsilon * out
+    size = _max_chunk(growth)
+    chunks = _linear_chunks(-problem.a, growth, scale, gen.standard_normal, n_steps, size, size)
+    return problem.epsilon * np.concatenate([[-problem.a], *chunks])
+
+
+def _increment_sds(beta: float, step: float, times: np.ndarray) -> np.ndarray:
+    """Sd of the discounted-noise increment over [t, t+step] for each t:
+    sqrt((e^(-2 beta t) - e^(-2 beta (t+step)))/(2 beta))."""
+    base = math.sqrt(-math.expm1(-2.0 * beta * step) / (2.0 * beta))
+    return base * np.exp(-beta * times)
 
 
 def sample_noise(
@@ -368,9 +366,7 @@ def sample_noise(
         n = int(math.ceil(horizon / step))
     gen = as_generator(rng)
     times = np.arange(n + 1, dtype=float) * step
-    base = math.sqrt(-math.expm1(-2.0 * beta * step) / (2.0 * beta))
-    stds = base * np.exp(-beta * times[:-1])
-    increments = stds * gen.standard_normal(n)
+    increments = _increment_sds(beta, step, times[:-1]) * gen.standard_normal(n)
     values = np.concatenate([[0.0], np.cumsum(increments)])
     return NoiseRealization(
         beta=beta,
@@ -415,10 +411,7 @@ def replay_exit_from_noise(problem: ExitProblem, noise: NoiseRealization) -> Exi
         raise ValueError("noise and problem disagree on beta")
     if abs(noise.step - problem.step) > 1e-12 * problem.step:
         raise ValueError("noise grid step must match the problem step")
-    beta, h = noise.beta, noise.step
-    base = math.sqrt(-math.expm1(-2.0 * beta * h) / (2.0 * beta))
-    stds = base * np.exp(-beta * noise.times[:-1])
-    xi = np.diff(noise.values) / stds
+    xi = np.diff(noise.values) / _increment_sds(noise.beta, noise.step, noise.times[:-1])
     cursor = 0
 
     def draw(size: int) -> np.ndarray:

@@ -27,7 +27,9 @@ __all__ = [
     "ks_two_sample_critical",
     "grid_sup_distance",
     "integrate_adaptive_simpson",
+    "FLOAT_FORMAT",
     "SAMPLE_CSV_HEADER",
+    "write_csv",
     "write_sample_csv",
     "read_sample_csv",
 ]
@@ -222,23 +224,27 @@ def _simpson_rec(f, a, fa, m, fm, b, fb, whole, tol, depth, force):
     ) + _simpson_rec(f, m, fm, rm, frm, b, fb, right, half, depth - 1, force - 1)
 
 
-# Exit-sample CSV format shared with the simulation layer and the CLI:
-# RFC-4180 (CRLF, header row), floats at 17 significant digits so values
-# round-trip bit-exactly.
+# CSV files of the package (exit samples, curves) are RFC-4180 (CRLF, header
+# row) with floats at 17 significant digits, so values round-trip bit-exactly.
+FLOAT_FORMAT = ".17g"
 SAMPLE_CSV_HEADER = ("attempt_index", "tau", "side", "normalized_time")
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
+def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
+    """Write a header row and pre-formatted rows of strings."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\r\n")
+        writer.writerow(header)
+        writer.writerows(rows)
 
 
 def write_sample_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
     """Write (attempt_index, tau, side, normalized_time) rows."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(SAMPLE_CSV_HEADER)
-        for attempt_index, tau, side, normalized_time in rows:
-            writer.writerow([int(attempt_index), _fmt(tau), side, _fmt(normalized_time)])
+    formatted = (
+        (str(int(index)), format(tau, FLOAT_FORMAT), side, format(normalized, FLOAT_FORMAT))
+        for index, tau, side, normalized in rows
+    )
+    write_csv(path, SAMPLE_CSV_HEADER, formatted)
 
 
 def read_sample_csv(path: str | Path) -> list[tuple[int, float, str, float]]:

@@ -37,8 +37,12 @@ class TestIdentitySuite:
         assert "gumbel-log-identity" in names
         assert "conditional-density-normalization" in names
 
-    def test_injected_failure_detected(self, tmp_path, capsys):
-        code = main(["identity-suite", "--inject-failure", "--output-dir", str(tmp_path)])
+    def test_injected_failure_detected(self, tmp_path, capsys, monkeypatch):
+        checks = cli._identity_checks()
+        name, value, bound = checks[1]
+        checks[1] = (name, value + 1e-6, bound)
+        monkeypatch.setattr(cli, "_identity_checks", lambda: checks)
+        code = main(["identity-suite", "--output-dir", str(tmp_path)])
         out = capsys.readouterr().out
         assert code == 1
         assert "FAIL" in out
@@ -106,6 +110,14 @@ class TestDensityConvergence:
         assert code == 2
         assert "--r" in err["error"]["message"]
 
+    def test_grid_point_cap_is_usage_error(self, tmp_path, capsys):
+        # 6e12 points: refused before anything is allocated
+        code = main(["density-convergence", "--r", "10", "--grid-step", "1e-12", "--output-dir", str(tmp_path)])
+        err = _stdout_json(capsys)
+        assert code == 2
+        assert "--grid-step" in err["error"]["message"]
+        assert not list(tmp_path.iterdir())
+
     def test_nonfinite_grid_is_usage_error(self, tmp_path, capsys):
         code = main(
             [
@@ -158,6 +170,18 @@ class TestEvtCommand:
         err = _stdout_json(capsys)
         assert code == 2
         assert err["error"]["type"] == "UsageError"
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_overflowing_curve_is_runtime_error_in_either_format(self, tmp_path, capsys, fmt):
+        # exceedance counts n*tail(x/b + b) overflow to inf far left of the grid
+        code = main(
+            ["evt", "--n", "1000", "--grid-min", "-800", "--grid-step", "1", "--format", fmt,
+             "--output-dir", str(tmp_path)]
+        )
+        err = _stdout_json(capsys)
+        assert code == 3
+        assert err["error"]["type"] == "NonFiniteResult"
+        assert not list(tmp_path.iterdir())
 
 
 class TestResidualCommand:
@@ -216,6 +240,7 @@ class TestResidualCommand:
         assert "NaN" not in out
         assert _strict(out)["error"]["type"] == "NonFiniteResult"
         assert not (tmp_path / "residual_report.json").exists()
+        assert not list(tmp_path.glob("residual_*"))
 
 
 class TestExitExperiment:
@@ -306,6 +331,56 @@ class TestExitExperiment:
             assert main(base + ["--workers", requested]) == 0
             assert _stdout_json(capsys)["config"]["workers"] == used
         assert seen == [3, 2, 1]
+
+
+# Small arguments per subcommand: (passing run, extra arguments that make
+# the same run fail its check).
+REPORT_CASES = {
+    "exit-experiment": (["--n", "20", "--ks-threshold", "1.0", "--workers", "1"], ["--ks-threshold", "0"]),
+    "density-convergence": (["--r", "5", "10", "--grid-step", "0.1"], ["--tolerance", "0"]),
+    "evt": (["--n", "1000", "1000000", "--grid-step", "0.25"], ["--replicas", "50", "--mc-n", "64", "--mc-ks-threshold", "0"]),
+    "residual": (["--r", "10", "30", "--grid-step", "0.25"], ["--tolerance", "0"]),
+    "identity-suite": ([], None),
+}
+
+
+class TestReportPath:
+    @pytest.mark.parametrize("passing", [True, False], ids=["pass", "fail"])
+    @pytest.mark.parametrize("subcommand", sorted(REPORT_CASES))
+    def test_report_written_and_exit_code_follows_pass(self, tmp_path, capsys, monkeypatch, subcommand, passing):
+        args, failing = REPORT_CASES[subcommand]
+        if not passing and failing is None:
+            monkeypatch.setattr(cli, "_identity_checks", lambda: [("forced-failure", 1.0, 0.5)])
+        elif not passing:
+            args = args + failing
+        code = main([subcommand, *args, "--output-dir", str(tmp_path / "out")])
+        out = capsys.readouterr().out
+        report = _read_json(tmp_path / "out" / f"{subcommand.split('-')[0]}_report.json")
+        assert report["config"]["version"] == cli.__version__
+        assert report["config"]["subcommand"] == subcommand
+        assert report["pass"] is passing
+        assert code == (0 if passing else 1)
+        if subcommand == "identity-suite":
+            assert out.splitlines()[-1] == f"identity suite: {'PASS' if passing else 'FAIL'}"
+        else:
+            assert _strict(out) == report
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["density-convergence", "--r", "10", "--tolerance", "nan"], "--tolerance"),
+            (["residual", "--r", "10", "--tolerance", "-0.1"], "--tolerance"),
+            (["exit-experiment", "--n", "5", "--ks-threshold", "nan"], "--ks-threshold"),
+            (["evt", "--n", "1000", "--replicas", "20", "--mc-ks-threshold", "nan"], "--mc-ks-threshold"),
+            (["evt", "--n", "1000", "--replicas", "-5"], "--replicas"),
+        ],
+    )
+    def test_bad_bound_flags_are_usage_errors(self, tmp_path, capsys, argv, flag):
+        code = main([*argv, "--output-dir", str(tmp_path / "out")])
+        err = _stdout_json(capsys)
+        assert code == 2
+        assert flag in err["error"]["message"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestParser:

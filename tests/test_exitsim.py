@@ -127,6 +127,25 @@ class TestIntegrators:
         x3 = simulate_path(p3, RngStream(8).substream(0), 100)
         assert np.max(np.abs(x3 - 3.0 * x1)) <= 1e-12
 
+    @pytest.mark.parametrize(
+        "kw", [dict(), dict(model=LinearDriftModel(20.0), a=0.2)], ids=["a1", "beta20"]
+    )
+    def test_path_leaves_where_exact_sampler_exits(self, kw):
+        # same substream, same normals, different chunk sizes: the path
+        # leaves (left, right) at the sampler's exit step and side
+        p = _problem(**kw)
+        stream = RngStream(31)
+        sides = set()
+        for i in range(40):
+            rec = simulate_exit_exact(p, stream.substream(i))
+            x = simulate_path(p, stream.substream(i), rec.steps_taken)
+            outside = (x[1:] >= p.right) | (x[1:] <= p.left)
+            assert outside.any()
+            assert int(np.argmax(outside)) + 1 == rec.steps_taken
+            assert ("right" if x[-1] >= p.right else "left") == rec.side
+            sides.add(rec.side)
+        assert sides == {"left", "right"}
+
     def test_marginal_law_of_exact_step(self):
         # exact transition: X(t) is Gaussian with known mean/variance for
         # any step size; moment-match at t = 1 over 1e5 replicas
