@@ -1,7 +1,9 @@
 """Command-line interface: every experiment as a subcommand.
 
 Exit codes: 0 all configured checks passed, 1 a check failed, 2 usage
-error, 3 runtime error (budget/guard/tail failures, non-finite results).
+error (any parse failure: each flag's range is checked by its parser type
+before any work), 3 runtime error (budget/guard/tail failures, non-finite
+results, a ValueError from inside a command).
 Each subcommand computes a report; `main` adds the fully resolved
 configuration, writes it as `<first word of the subcommand>_report.json`,
 prints it (identity-suite prints a table instead) and maps its `pass` to
@@ -35,6 +37,7 @@ from .distributions import (
 from .errors import ExitGumbelError, NonFiniteResult
 from .evt import gnedenko_lhs, max_cdf, sample_normalized_max, solve_normalizers, standard_gaussian_sampler
 from .exitsim import (
+    MAX_STEP,
     ExitProblem,
     LinearDriftModel,
     limit_law_cdf,
@@ -72,14 +75,39 @@ class UsageError(Exception):
     pass
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 42
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise UsageError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from exc
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose every parse failure is a UsageError, so it
+    reaches `main`'s JSON usage-error path instead of printing to stderr."""
+
+    def error(self, message):
+        raise UsageError(message)
+
+
+def _checked(cast, rule: str, ok):
+    """An argparse type that casts the text and accepts the value only where
+    `ok` holds; the error message states the `rule`."""
+
+    def convert(text: str):
+        try:
+            value = cast(text)
+        except ValueError:
+            value = None
+        if value is None or not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return convert
+
+
+_FINITE = _checked(float, "a finite number", math.isfinite)
+_POSITIVE = _checked(float, "a finite number > 0", lambda v: v > 0.0 and math.isfinite(v))
+_NONNEGATIVE = _checked(float, "a finite number >= 0", lambda v: v >= 0.0 and math.isfinite(v))
+_STEP = _checked(float, f"in (0, {MAX_STEP:g}]", lambda v: 0.0 < v <= MAX_STEP)
+_SEED = _checked(int, f"an integer in [0, 2^64) (--seed or {SEED_ENV_VAR})", lambda v: 0 <= v < 2**64)
+
+
+def _at_least(k: int):
+    return _checked(int, f"an integer >= {k}", lambda v: v >= k)
 
 
 def _json(payload: dict) -> str:
@@ -98,9 +126,10 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(_json(payload) + "\n")
 
 
-def _write_curve(path: Path, fmt: str, xs, exact, limit) -> None:
-    """Columns x, exact, limit, abs_error as `path`.csv or `path`.json. A
-    non-finite value raises NonFiniteResult before the file is opened."""
+def _write_curve(path: Path, fmt: str, xs, exact, limit) -> float:
+    """Columns x, exact, limit, abs_error as `path`.csv or `path`.json;
+    returns the sup distance max(abs_error). A non-finite value raises
+    NonFiniteResult before the file is opened."""
     exact = np.asarray(exact, dtype=float)
     limit = np.asarray(limit, dtype=float)
     columns = {
@@ -111,37 +140,23 @@ def _write_curve(path: Path, fmt: str, xs, exact, limit) -> None:
     }
     if fmt == "json":
         _write_json(path.with_suffix(".json"), {name: column.tolist() for name, column in columns.items()})
-        return
-    if not all(np.isfinite(column).all() for column in columns.values()):
+    elif all(np.isfinite(column).all() for column in columns.values()):
+        template = ",".join(["%" + FLOAT_FORMAT] * len(columns))
+        write_csv(path.with_suffix(".csv"), tuple(columns), template, zip(*columns.values()))
+    else:
         raise NonFiniteResult(f"curve {path.with_suffix('.csv').name} holds a non-finite value")
-    rows = ([format(v, FLOAT_FORMAT) for v in row] for row in zip(*columns.values()))
-    write_csv(path.with_suffix(".csv"), tuple(columns), rows)
+    return float(np.max(columns["abs_error"]))
 
 
 def _grid(args) -> np.ndarray:
     lo, hi, step = args.grid_min, args.grid_max, args.grid_step
-    if not (math.isfinite(lo) and math.isfinite(hi) and math.isfinite(step)):
-        raise UsageError("grid bounds and step must be finite")
-    if step <= 0.0 or hi <= lo:
-        raise UsageError("grid requires grid_min < grid_max and grid_step > 0")
+    if hi <= lo:
+        raise UsageError(f"--grid-min {lo} must be below --grid-max {hi}")
     # round(span) + 1 points; an infinite span (overflow) is rejected too.
     span = (hi - lo) / step
     if not span < _MAX_GRID_POINTS - 0.5:
         raise UsageError(f"--grid-step {step} gives more than {_MAX_GRID_POINTS} grid points")
     return lo + step * np.arange(int(round(span)) + 1)
-
-
-def _check_inputs(args) -> None:
-    """Range checks of the subcommand's numeric flags, before any work."""
-    for r in getattr(args, "r", ()):
-        if not (r > 0.0 and math.isfinite(r)):
-            raise UsageError(f"--r thresholds must be positive and finite, got {r}")
-    for name in ("tolerance", "ks_threshold", "mc_ks_threshold"):
-        value = getattr(args, name, None)
-        if value is not None and not (value >= 0.0 and math.isfinite(value)):
-            raise UsageError(f"--{name.replace('_', '-')} must be finite and >= 0, got {value}")
-    if getattr(args, "replicas", 0) < 0:
-        raise UsageError(f"--replicas must be >= 0, got {args.replicas}")
 
 
 def _decreasing(ordered, floor: float = -math.inf) -> bool:
@@ -171,12 +186,12 @@ def cmd_exit_experiment(args) -> dict:
     """Sample conditioned exits, compare with the limit law, write samples
     and report the KS statistic."""
     args.workers = max(1, min(args.workers, os.cpu_count() or 1))
-    problem = ExitProblem(
-        model=LinearDriftModel(beta=args.beta),
-        epsilon=args.epsilon,
-        a=args.a,
-        step=args.step,
-    )
+    try:
+        problem = ExitProblem(
+            model=LinearDriftModel(beta=args.beta), epsilon=args.epsilon, a=args.a, step=args.step
+        )
+    except ValueError as exc:  # the start -epsilon*a must lie inside the domain
+        raise UsageError(f"--epsilon and --a: {exc}") from exc
     stream = RngStream(seed=args.seed)
     conditioned = sample_conditioned_exits(
         problem, args.n, stream, budget=args.budget, workers=args.workers
@@ -217,8 +232,7 @@ def cmd_density_convergence(args) -> dict:
     sups = {}
     for r in args.r:
         exact = np.asarray([shifted_log_residual_density(r, x) for x in xs])
-        _write_curve(out / f"density_r{r:g}", args.format, xs, exact, limit)
-        sups[r] = float(np.max(np.abs(exact - limit)))
+        sups[r] = _write_curve(out / f"density_r{r:g}", args.format, xs, exact, limit)
     ordered = [sups[r] for r in sorted(args.r)]
     decreasing = _decreasing(ordered)
     return {
@@ -233,9 +247,6 @@ def cmd_evt(args) -> dict:
     """Normalizers, exceedance-count curves, normalized-max CDF curves, and
     an optional Monte Carlo KS cross-check of the exact finite-n law."""
     out = Path(args.output_dir)
-    for n in args.n:
-        if n < 3:
-            raise UsageError(f"block size n must be >= 3, got {n}")
     model = gaussian_tail_model()
     xs = _grid(args)
     limit_counts = np.exp(-xs)
@@ -248,8 +259,7 @@ def cmd_evt(args) -> dict:
         counts = np.asarray([gnedenko_lhs(model, seq, x) for x in xs])
         cdfs = np.asarray([max_cdf(model, seq, x) for x in xs])
         _write_curve(out / f"exceedance_n{n}", args.format, xs, counts, limit_counts)
-        _write_curve(out / f"maxcdf_n{n}", args.format, xs, cdfs, limit_gumbel)
-        sups[n] = float(np.max(np.abs(cdfs - limit_gumbel)))
+        sups[n] = _write_curve(out / f"maxcdf_n{n}", args.format, xs, cdfs, limit_gumbel)
     decreasing = _decreasing([sups[n] for n in sorted(args.n)])
     passed = decreasing
 
@@ -287,19 +297,23 @@ def cmd_residual(args) -> dict:
     out = Path(args.output_dir)
     model = gaussian_tail_model() if args.model == "gaussian" else exponential_tail_model()
     xs = _grid(args)
-    xs_pos = xs[xs >= 0.0] if np.any(xs >= 0.0) else xs
+    xs_pos = xs[xs >= 0.0]
+    if xs_pos.size == 0:
+        raise UsageError(f"--grid-max {args.grid_max} leaves no grid point >= 0 for the scaled residual")
     sups_scaled = {}
     sups_shifted = {}
     for r in args.r:
         scaled = np.asarray([scaled_residual(model, r, x) for x in xs_pos])
         scaled_limit = np.exp(-xs_pos)
-        _write_curve(out / f"residual_scaled_{model.name}_r{r:g}", args.format, xs_pos, scaled, scaled_limit)
-        sups_scaled[r] = float(np.max(np.abs(scaled - scaled_limit)))
+        sups_scaled[r] = _write_curve(
+            out / f"residual_scaled_{model.name}_r{r:g}", args.format, xs_pos, scaled, scaled_limit
+        )
 
         shifted = np.asarray([shifted_log_residual_cdf(model, r, x) for x in xs])
         gumbel = np.asarray([gumbel_cdf(x) for x in xs])
-        _write_curve(out / f"residual_shifted_{model.name}_r{r:g}", args.format, xs, shifted, gumbel)
-        sups_shifted[r] = float(np.max(np.abs(shifted - gumbel)))
+        sups_shifted[r] = _write_curve(
+            out / f"residual_shifted_{model.name}_r{r:g}", args.format, xs, shifted, gumbel
+        )
 
     fixed_point_dev = _exponential_fixed_point_deviation()
     fixed_point_ok = fixed_point_dev <= _FIXED_POINT_TOL
@@ -401,19 +415,19 @@ def _print_checks(report: dict) -> None:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=None, help="base RNG seed (env EXITGUMBEL_SEED overrides the default 42)")
+    parser.add_argument("--seed", type=_SEED, default=os.environ.get(SEED_ENV_VAR, "42"), help="base RNG seed (env EXITGUMBEL_SEED overrides the default 42)")
     parser.add_argument("--output-dir", type=str, default="exitgumbel-out", help="directory for files")
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="curve file format")
 
 
 def _add_grid(parser: argparse.ArgumentParser, lo: float, hi: float, step: float) -> None:
-    parser.add_argument("--grid-min", type=float, default=lo)
-    parser.add_argument("--grid-max", type=float, default=hi)
-    parser.add_argument("--grid-step", type=float, default=step)
+    parser.add_argument("--grid-min", type=_FINITE, default=lo)
+    parser.add_argument("--grid-max", type=_FINITE, default=hi)
+    parser.add_argument("--grid-step", type=_POSITIVE, default=step)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="exitgumbel",
         description="Gumbel limit laws for conditioned exit times, Gaussian extremes, and residual life times.",
     )
@@ -421,37 +435,37 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p = sub.add_parser("exit-experiment", help="conditioned exit times vs the closed-form limit law")
-    p.add_argument("--beta", type=float, default=1.0, help="drift slope")
-    p.add_argument("--epsilon", type=float, default=0.01, help="noise amplitude")
-    p.add_argument("--a", type=float, default=1.0, help="start offset in noise units (start at -epsilon*a)")
-    p.add_argument("--n", type=int, default=10_000, help="conditioned samples to accept")
-    p.add_argument("--step", type=float, default=1e-3, help="integration step")
-    p.add_argument("--ks-threshold", type=float, default=0.03)
-    p.add_argument("--budget", type=int, default=10**9, help="attempt cap for rejection sampling")
+    p.add_argument("--beta", type=_POSITIVE, default=1.0, help="drift slope")
+    p.add_argument("--epsilon", type=_POSITIVE, default=0.01, help="noise amplitude")
+    p.add_argument("--a", type=_POSITIVE, default=1.0, help="start offset in noise units (start at -epsilon*a)")
+    p.add_argument("--n", type=_at_least(1), default=10_000, help="conditioned samples to accept")
+    p.add_argument("--step", type=_STEP, default=1e-3, help="integration step")
+    p.add_argument("--ks-threshold", type=_NONNEGATIVE, default=0.03)
+    p.add_argument("--budget", type=_at_least(1), default=10**9, help="attempt cap for rejection sampling")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     _add_common(p)
     p.set_defaults(func=cmd_exit_experiment)
 
     p = sub.add_parser("density-convergence", help="recentered conditional density vs the Gumbel density")
-    p.add_argument("--r", type=float, nargs="+", required=True, help="thresholds")
-    p.add_argument("--tolerance", type=float, default=0.01, help="sup bound at the largest threshold")
+    p.add_argument("--r", type=_POSITIVE, nargs="+", required=True, help="thresholds")
+    p.add_argument("--tolerance", type=_NONNEGATIVE, default=0.01, help="sup bound at the largest threshold")
     _add_grid(p, -1.0, 5.0, 1e-3)
     _add_common(p)
     p.set_defaults(func=cmd_density_convergence)
 
     p = sub.add_parser("evt", help="Gaussian max normalization: deterministic curves and Monte Carlo maxima")
-    p.add_argument("--n", type=int, nargs="+", required=True, help="block sizes (each >= 3)")
-    p.add_argument("--replicas", type=int, default=0, help="Monte Carlo replicas (0 = skip sampling)")
-    p.add_argument("--mc-n", type=int, default=10_000, help="block size for the Monte Carlo cross-check")
-    p.add_argument("--mc-ks-threshold", type=float, default=None)
+    p.add_argument("--n", type=_at_least(3), nargs="+", required=True, help="block sizes (each >= 3)")
+    p.add_argument("--replicas", type=_at_least(0), default=0, help="Monte Carlo replicas (0 = skip sampling)")
+    p.add_argument("--mc-n", type=_at_least(3), default=10_000, help="block size for the Monte Carlo cross-check")
+    p.add_argument("--mc-ks-threshold", type=_NONNEGATIVE, default=None)
     _add_grid(p, -2.0, 4.0, 0.05)
     _add_common(p)
     p.set_defaults(func=cmd_evt)
 
     p = sub.add_parser("residual", help="residual life scaling and its log transform")
     p.add_argument("--model", choices=("gaussian", "exponential"), default="gaussian")
-    p.add_argument("--r", type=float, nargs="+", required=True, help="thresholds")
-    p.add_argument("--tolerance", type=float, default=0.01)
+    p.add_argument("--r", type=_POSITIVE, nargs="+", required=True, help="thresholds")
+    p.add_argument("--tolerance", type=_NONNEGATIVE, default=0.01)
     _add_grid(p, -2.0, 6.0, 0.05)
     _add_common(p)
     p.set_defaults(func=cmd_residual)
@@ -464,17 +478,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else USAGE_ERROR
-    try:
-        if args.seed is None:
-            args.seed = _default_seed()
-        if args.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {args.seed}")
-        _check_inputs(args)
+        args = build_parser().parse_args(argv)
         out = Path(args.output_dir)
         out.mkdir(parents=True, exist_ok=True)
         report = args.func(args)
@@ -485,13 +490,12 @@ def main(argv=None) -> int:
         else:
             _emit(report)
         return PASS if report["pass"] else CHECK_FAILED
+    except SystemExit as exc:  # --help and --version
+        return exc.code
     except UsageError as exc:
         _emit({"error": {"type": "UsageError", "message": str(exc)}})
         return USAGE_ERROR
-    except ValueError as exc:
-        _emit({"error": {"type": "ValueError", "message": str(exc)}})
-        return USAGE_ERROR
-    except (ExitGumbelError, OSError) as exc:
+    except (ExitGumbelError, OSError, ValueError) as exc:
         _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
         return RUNTIME_ERROR
 

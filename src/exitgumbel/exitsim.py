@@ -58,6 +58,9 @@ __all__ = [
 # negligible and the terminal value stands in for the infinite-horizon one.
 _NOISE_DECAY_TARGET = 1e-9
 
+# Largest integration step an ExitProblem accepts.
+MAX_STEP = 1e-2
+
 _FOLLOWUP_CHUNK = 2048
 _MAX_CHUNK = 65536
 _BLOCK_ATTEMPTS = 2048
@@ -117,8 +120,8 @@ class ExitProblem:
                 f"start -epsilon*a = {-self.epsilon * self.a} must lie strictly "
                 f"inside ({self.left}, 0)"
             )
-        if not (0.0 < self.step <= 1e-2):
-            raise ValueError(f"step must be in (0, 1e-2], got {self.step}")
+        if not (0.0 < self.step <= MAX_STEP):
+            raise ValueError(f"step must be in (0, {MAX_STEP:g}], got {self.step}")
         beta = self.model.beta
         minimum_guard = self.centering_time + 20.0 / beta
         if self.guard_horizon is None:

@@ -22,16 +22,10 @@ __all__ = [
 ]
 
 
-def _require_positive_tail(model: TailModel, r: float) -> None:
-    if model.log_tail is None and model.tail(r) <= 0.0:
-        raise ZeroTail(f"{model.name} tail underflowed at threshold {r}")
-
-
 def residual_tail(model: TailModel, r: float, x: float) -> float:
     """P{X - r > x | X > r} = tail(r+x)/tail(r); equals 1 at x = 0."""
     if x < 0.0:
         raise ValueError(f"residual life is defined for x >= 0, got {x}")
-    _require_positive_tail(model, r)
     return model.tail_ratio(r + x, r)
 
 
@@ -40,7 +34,6 @@ def scaled_residual(model: TailModel, r: float, x: float) -> float:
 
     Converges to exp(-x) as r grows for tails in the Gumbel domain.
     """
-    _require_positive_tail(model, r)
     return model.tail_ratio(r + model.scaling_a(r) * x, r)
 
 
@@ -48,7 +41,6 @@ def log_residual_cdf(model: TailModel, r: float, x: float) -> float:
     """P{-ln(X - r) <= x | X > r} = tail(r + exp(-x))/tail(r)."""
     if -x > 700.0:
         return 0.0
-    _require_positive_tail(model, r)
     return model.tail_ratio(r + math.exp(-x), r)
 
 

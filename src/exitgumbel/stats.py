@@ -230,21 +230,20 @@ FLOAT_FORMAT = ".17g"
 SAMPLE_CSV_HEADER = ("attempt_index", "tau", "side", "normalized_time")
 
 
-def write_csv(path: str | Path, header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    """Write a header row and pre-formatted rows of strings."""
+def write_csv(path: str | Path, header: Sequence[str], template: str, rows: Iterable[Sequence]) -> None:
+    """Write a header row, then `template % row` for each row. Fields are
+    numbers and bare words, so none needs quoting."""
+    line = template + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\r\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\r\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def write_sample_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
     """Write (attempt_index, tau, side, normalized_time) rows."""
-    formatted = (
-        (str(int(index)), format(tau, FLOAT_FORMAT), side, format(normalized, FLOAT_FORMAT))
-        for index, tau, side, normalized in rows
-    )
-    write_csv(path, SAMPLE_CSV_HEADER, formatted)
+    float_field = "%" + FLOAT_FORMAT
+    template = ",".join(("%d", float_field, "%s", float_field))
+    write_csv(path, SAMPLE_CSV_HEADER, template, rows)
 
 
 def read_sample_csv(path: str | Path) -> list[tuple[int, float, str, float]]:

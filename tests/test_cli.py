@@ -1,8 +1,14 @@
 """CLI subcommands: outputs, exit codes, reproducibility."""
+import argparse
 import csv
 import json
+import math
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from exitgumbel import cli
 from exitgumbel.cli import main
@@ -392,3 +398,153 @@ class TestParser:
         out = capsys.readouterr().out
         assert code == 0
         assert "exitgumbel" in out
+
+
+class TestResidualGrid:
+    def test_grid_without_nonnegative_point_is_usage_error(self, tmp_path, capsys):
+        # the exp(-x) limit of the scaled residual holds only for x >= 0
+        code = main(
+            ["residual", "--r", "5", "--grid-min", "-5", "--grid-max", "-1", "--grid-step", "0.5",
+             "--output-dir", str(tmp_path)]
+        )
+        err = _stdout_json(capsys)
+        assert code == 2
+        assert "--grid-max" in err["error"]["message"]
+        assert not list(tmp_path.iterdir())
+
+
+SUBCOMMANDS = ("exit-experiment", "density-convergence", "evt", "residual", "identity-suite")
+# Arguments each subcommand needs besides the flag under test.
+REQUIRED = {"density-convergence": ["--r", "10"], "evt": ["--n", "1000"], "residual": ["--r", "10"]}
+
+
+def _number(cast, ok):
+    def in_range(text):
+        try:
+            return ok(cast(text))
+        except ValueError:
+            return False
+
+    return in_range
+
+
+_FINITE = _number(float, math.isfinite)
+_POSITIVE = _number(float, lambda v: v > 0.0 and math.isfinite(v))
+_NONNEGATIVE = _number(float, lambda v: v >= 0.0 and math.isfinite(v))
+
+
+def _int_at_least(k):
+    return _number(int, lambda v: v >= k)
+
+
+_GRID = [("--grid-min", _FINITE), ("--grid-max", _FINITE), ("--grid-step", _POSITIVE)]
+# (subcommand, flag, whether a value is in range): every range-checked flag.
+RANGED_FLAGS = [
+    ("exit-experiment", "--beta", _POSITIVE),
+    ("exit-experiment", "--epsilon", _POSITIVE),
+    ("exit-experiment", "--a", _POSITIVE),
+    ("exit-experiment", "--n", _int_at_least(1)),
+    ("exit-experiment", "--step", _number(float, lambda v: 0.0 < v <= 1e-2)),
+    ("exit-experiment", "--ks-threshold", _NONNEGATIVE),
+    ("exit-experiment", "--budget", _int_at_least(1)),
+    ("density-convergence", "--r", _POSITIVE),
+    ("density-convergence", "--tolerance", _NONNEGATIVE),
+    *[("density-convergence", flag, rule) for flag, rule in _GRID],
+    ("evt", "--n", _int_at_least(3)),
+    ("evt", "--replicas", _int_at_least(0)),
+    ("evt", "--mc-n", _int_at_least(3)),
+    ("evt", "--mc-ks-threshold", _NONNEGATIVE),
+    *[("evt", flag, rule) for flag, rule in _GRID],
+    ("residual", "--r", _POSITIVE),
+    ("residual", "--tolerance", _NONNEGATIVE),
+    *[("residual", flag, rule) for flag, rule in _GRID],
+    *[(sub, "--seed", _number(int, lambda v: 0 <= v < 2**64)) for sub in SUBCOMMANDS],
+]
+EDGE_VALUES = ["0", "1", "-1", "1e300", "-1e300", "inf", "-inf", "nan", "x", str(2**64)]
+
+
+def _stub_commands(monkeypatch):
+    """Replace every command by one that does no work and passes."""
+    for name in ("cmd_exit_experiment", "cmd_density_convergence", "cmd_evt", "cmd_residual", "cmd_identity_suite"):
+        monkeypatch.setattr(cli, name, lambda args: {"pass": True, "checks": []})
+    monkeypatch.setattr(cli, "_print_checks", lambda report: None)
+
+
+class TestInputGate:
+    @settings(max_examples=1000, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.sampled_from(RANGED_FLAGS), value=st.sampled_from(EDGE_VALUES))
+    def test_each_flag_range_is_checked_before_any_work(self, monkeypatch, capsys, case, value):
+        subcommand, flag, in_range = case
+        _stub_commands(monkeypatch)
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code = main([subcommand, *REQUIRED.get(subcommand, []), f"{flag}={value}", "--output-dir", str(out)])
+            assert out.exists() == in_range(value)
+        text = capsys.readouterr().out
+        if in_range(value):
+            assert code == 0
+        else:
+            assert code == 2
+            err = _strict(text)["error"]
+            assert err["type"] == "UsageError"
+            assert f"argument {flag}:" in err["message"]
+
+    def test_no_numeric_flag_is_unchecked(self):
+        # a bare int/float type would accept any value; --workers is clamped
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, sub in subparsers.choices.items():
+            for action in sub._actions:
+                if "--workers" not in action.option_strings:
+                    assert action.type not in (int, float), (name, action.option_strings)
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["evt", "--n", "1000", "--replicas", "10", "--mc-n", "1"], "--mc-n"),
+            (["exit-experiment", "--n", "0"], "--n"),
+        ],
+    )
+    def test_range_errors_leave_nothing(self, tmp_path, capsys, argv, flag):
+        code = main([*argv, "--output-dir", str(tmp_path / "out")])
+        err = _stdout_json(capsys)
+        assert code == 2
+        assert f"argument {flag}:" in err["error"]["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_start_outside_domain_is_usage_error(self, tmp_path, capsys):
+        code = main(["exit-experiment", "--epsilon", "0.5", "--a", "3", "--output-dir", str(tmp_path)])
+        err = _stdout_json(capsys)
+        assert code == 2
+        assert "--epsilon" in err["error"]["message"]
+        assert not list(tmp_path.iterdir())
+
+    def test_value_error_inside_a_command_is_runtime_error(self, tmp_path, capsys, monkeypatch):
+        def broken(args):
+            raise ValueError("internal fault")
+
+        monkeypatch.setattr(cli, "cmd_identity_suite", broken)
+        code = main(["identity-suite", "--output-dir", str(tmp_path)])
+        err = _stdout_json(capsys)
+        assert code == 3
+        assert err["error"] == {"type": "ValueError", "message": "internal fault"}
+
+    def test_bad_env_seed_is_usage_error_unless_seed_given(self, tmp_path, capsys, monkeypatch):
+        _stub_commands(monkeypatch)
+        monkeypatch.setenv("EXITGUMBEL_SEED", "-3")
+        code = main(["identity-suite", "--output-dir", str(tmp_path / "a")])
+        err = _stdout_json(capsys)
+        assert code == 2
+        assert "EXITGUMBEL_SEED" in err["error"]["message"]
+        assert not (tmp_path / "a").exists()
+        assert main(["identity-suite", "--seed", "5", "--output-dir", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+        assert _read_json(tmp_path / "b" / "identity_report.json")["config"]["seed"] == 5
+
+    @pytest.mark.parametrize("argv", [["density-convergence"], ["no-such-command"], ["residual", "--r", "1", "--model", "x"]])
+    def test_parse_errors_are_json_on_stdout(self, tmp_path, capsys, argv):
+        code = main([*argv, "--output-dir", str(tmp_path / "out")])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err == ""
+        assert _strict(captured.out)["error"]["type"] == "UsageError"
