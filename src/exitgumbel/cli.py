@@ -13,6 +13,7 @@ columns x, exact, limit, abs_error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -35,7 +36,7 @@ from .distributions import (
     shifted_log_residual_density,
 )
 from .errors import ExitGumbelError, NonFiniteResult
-from .evt import gnedenko_lhs, max_cdf, sample_normalized_max, solve_normalizers, standard_gaussian_sampler
+from .evt import max_cdf, max_cdf_of_tail, sample_normalized_max, solve_normalizers, standard_gaussian_sampler
 from .exitsim import (
     MAX_STEP,
     ExitProblem,
@@ -148,6 +149,23 @@ def _write_curve(path: Path, fmt: str, xs, exact, limit) -> float:
     return float(np.max(columns["abs_error"]))
 
 
+def _curve_command(command):
+    """Run a curve command with numpy's invalid and divide-by-zero raising a
+    NonFiniteResult, as does a `math` OverflowError. An overflow to inf is
+    left to `_write_curve`'s check: it is a non-finite curve value or the
+    correctly rounded limit (exp(-inf) = 0). Underflow to 0 is silent."""
+
+    @functools.wraps(command)
+    def run(args) -> dict:
+        try:
+            with np.errstate(invalid="raise", divide="raise", over="ignore", under="ignore"):
+                return command(args)
+        except (FloatingPointError, OverflowError) as exc:
+            raise NonFiniteResult(f"a curve value is not finite ({exc})") from exc
+
+    return run
+
+
 def _grid(args) -> np.ndarray:
     lo, hi, step = args.grid_min, args.grid_max, args.grid_step
     if hi <= lo:
@@ -168,12 +186,9 @@ def _decreasing(ordered, floor: float = -math.inf) -> bool:
 def _exponential_fixed_point_deviation() -> float:
     """Largest deviation of the exponential model's recentered log-residual
     CDF from the Gumbel CDF, which it equals exactly."""
-    exp_model = exponential_tail_model()
-    return max(
-        abs(shifted_log_residual_cdf(exp_model, r, x) - gumbel_cdf(x))
-        for r in (1.0, 5.0, 30.0)
-        for x in np.linspace(-2.0, 6.0, 81)
-    )
+    xs = np.linspace(-2.0, 6.0, 81)
+    curves = [shifted_log_residual_cdf(exponential_tail_model(), r, xs) for r in (1.0, 5.0, 30.0)]
+    return float(np.max(np.abs(np.array(curves) - gumbel_cdf(xs))))
 
 
 def _resolved_config(args) -> dict:
@@ -223,15 +238,16 @@ def cmd_exit_experiment(args) -> dict:
     }
 
 
+@_curve_command
 def cmd_density_convergence(args) -> dict:
     """Recentered conditional-density curves against the Gumbel density,
     one curve per threshold, with sup distances."""
     out = Path(args.output_dir)
     xs = _grid(args)
-    limit = np.asarray([gumbel_density(x) for x in xs])
+    limit = gumbel_density(xs)
     sups = {}
     for r in args.r:
-        exact = np.asarray([shifted_log_residual_density(r, x) for x in xs])
+        exact = shifted_log_residual_density(r, xs)
         sups[r] = _write_curve(out / f"density_r{r:g}", args.format, xs, exact, limit)
     ordered = [sups[r] for r in sorted(args.r)]
     decreasing = _decreasing(ordered)
@@ -243,6 +259,7 @@ def cmd_density_convergence(args) -> dict:
     }
 
 
+@_curve_command
 def cmd_evt(args) -> dict:
     """Normalizers, exceedance-count curves, normalized-max CDF curves, and
     an optional Monte Carlo KS cross-check of the exact finite-n law."""
@@ -250,16 +267,15 @@ def cmd_evt(args) -> dict:
     model = gaussian_tail_model()
     xs = _grid(args)
     limit_counts = np.exp(-xs)
-    limit_gumbel = np.asarray([gumbel_cdf(x) for x in xs])
+    limit_gumbel = gumbel_cdf(xs)
     normalizers = {}
     sups = {}
     for n in args.n:
         seq = solve_normalizers(model, n)
         normalizers[n] = {"scale": seq.scale, "center": seq.center}
-        counts = np.asarray([gnedenko_lhs(model, seq, x) for x in xs])
-        cdfs = np.asarray([max_cdf(model, seq, x) for x in xs])
-        _write_curve(out / f"exceedance_n{n}", args.format, xs, counts, limit_counts)
-        sups[n] = _write_curve(out / f"maxcdf_n{n}", args.format, xs, cdfs, limit_gumbel)
+        tails = model.tail(seq.scale * xs + seq.center)  # gnedenko_lhs is n*tails
+        _write_curve(out / f"exceedance_n{n}", args.format, xs, seq.n * tails, limit_counts)
+        sups[n] = _write_curve(out / f"maxcdf_n{n}", args.format, xs, max_cdf_of_tail(seq.n, tails), limit_gumbel)
     decreasing = _decreasing([sups[n] for n in sorted(args.n)])
     passed = decreasing
 
@@ -291,6 +307,7 @@ def cmd_evt(args) -> dict:
     }
 
 
+@_curve_command
 def cmd_residual(args) -> dict:
     """Scaled residual tails and recentered log-residual CDFs against their
     limits, plus the memoryless exact fixed point."""
@@ -300,20 +317,16 @@ def cmd_residual(args) -> dict:
     xs_pos = xs[xs >= 0.0]
     if xs_pos.size == 0:
         raise UsageError(f"--grid-max {args.grid_max} leaves no grid point >= 0 for the scaled residual")
+    scaled_limit = np.exp(-xs_pos)
+    gumbel = gumbel_cdf(xs)
     sups_scaled = {}
     sups_shifted = {}
     for r in args.r:
-        scaled = np.asarray([scaled_residual(model, r, x) for x in xs_pos])
-        scaled_limit = np.exp(-xs_pos)
-        sups_scaled[r] = _write_curve(
-            out / f"residual_scaled_{model.name}_r{r:g}", args.format, xs_pos, scaled, scaled_limit
-        )
-
-        shifted = np.asarray([shifted_log_residual_cdf(model, r, x) for x in xs])
-        gumbel = np.asarray([gumbel_cdf(x) for x in xs])
-        sups_shifted[r] = _write_curve(
-            out / f"residual_shifted_{model.name}_r{r:g}", args.format, xs, shifted, gumbel
-        )
+        name = f"{model.name}_r{r:g}"
+        scaled = scaled_residual(model, r, xs_pos)
+        sups_scaled[r] = _write_curve(out / f"residual_scaled_{name}", args.format, xs_pos, scaled, scaled_limit)
+        shifted = shifted_log_residual_cdf(model, r, xs)
+        sups_shifted[r] = _write_curve(out / f"residual_shifted_{name}", args.format, xs, shifted, gumbel)
 
     fixed_point_dev = _exponential_fixed_point_deviation()
     fixed_point_ok = fixed_point_dev <= _FIXED_POINT_TOL
@@ -343,31 +356,23 @@ def _identity_checks():
     checks = []
 
     grid = np.linspace(-5.0, 10.0, 61)
-    fd = max(
-        abs(
-            (gumbel_cdf(x + 1e-5) - gumbel_cdf(x - 1e-5)) / 2e-5 - gumbel_density(x)
-        )
-        for x in grid
-    )
+    fd = float(np.max(np.abs((gumbel_cdf(grid + 1e-5) - gumbel_cdf(grid - 1e-5)) / 2e-5 - gumbel_density(grid))))
     checks.append(("gumbel-cdf-density-consistency", fd, 1e-8))
 
     ident = max(abs(gumbel_identity_residual(x)) for x in grid)
     checks.append(("gumbel-log-identity", ident, 1e-12))
 
     rs = np.linspace(0.0, 8.0, 81)
-    sym = max(abs(gaussian_tail(-r) + gaussian_tail(r) - 1.0) for r in rs)
+    sym = float(np.max(np.abs(gaussian_tail(-rs) + gaussian_tail(rs) - 1.0)))
     checks.append(("gaussian-tail-symmetry", sym, 1e-13))
 
-    grid_t = np.linspace(-8.0, 37.5, 301)
-    tails = [gaussian_tail(r) for r in grid_t]
-    monotone = all(b < a for a, b in zip(tails, tails[1:]))
+    tails = gaussian_tail(np.linspace(-8.0, 37.5, 301))
+    monotone = bool(np.all(tails[1:] < tails[:-1]))
     checks.append(("gaussian-tail-strictly-decreasing", 0.0 if monotone else 1.0, 0.5))
 
-    mills_ok = True
-    for r in np.linspace(2.0, 30.0, 57):
-        ratio = r * gaussian_tail(r) / gaussian_pdf(r)
-        if not (1.0 - 1.0 / (r * r) < ratio < 1.0):
-            mills_ok = False
+    rs = np.linspace(2.0, 30.0, 57)
+    ratio = rs * gaussian_tail(rs) / gaussian_pdf(rs)
+    mills_ok = bool(np.all((1.0 - 1.0 / (rs * rs) < ratio) & (ratio < 1.0)))
     checks.append(("mills-two-sided-bound", 0.0 if mills_ok else 1.0, 0.5))
 
     ratio_far = gaussian_tail(20.0) / gaussian_tail_asymptotic(20.0)

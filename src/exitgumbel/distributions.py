@@ -1,8 +1,11 @@
-"""Exact scalar distribution functions.
+"""Exact distribution functions of a float or of a 1-d float array.
 
 Gumbel law, standard Gaussian law with cancellation-free tails, and the
 explicit density of the log-transformed Gaussian excess over a high
 threshold. All functions are pure and safe under arbitrary concurrency.
+
+An array is evaluated as each element would be, bit for bit: numpy does
+the IEEE arithmetic in the scalar order and exp/log/erfc stay `math` calls.
 """
 from __future__ import annotations
 
@@ -12,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ZeroTail
+from .errors import NonFiniteResult, ZeroTail
 
 __all__ = [
     "GridCurve",
@@ -45,18 +48,32 @@ _TAIL_SWITCH = 8.0
 _MILLS_CF_DEPTH = 64
 
 
-def gumbel_cdf(x: float) -> float:
+def _each(fn, x):
+    """`fn`, a `math` function, of a float or of each element of an array."""
+    if not isinstance(x, np.ndarray):
+        return fn(x)
+    return np.fromiter(map(fn, memoryview(x)), float, x.size)
+
+
+def _where(cond, x, if_true, if_false):
+    """`if_true(x)` where `cond` holds, else `if_false(x)`. For an array each
+    branch sees only its own elements, so neither runs where it would fail."""
+    if not isinstance(x, np.ndarray):
+        return if_true(x) if cond else if_false(x)
+    out = np.empty_like(x)
+    out[cond] = if_true(x[cond])
+    out[~cond] = if_false(x[~cond])
+    return out
+
+
+def gumbel_cdf(x):
     """Gumbel distribution function exp(-exp(-x))."""
-    if x < _GUMBEL_UNDERFLOW_X:
-        return 0.0
-    return math.exp(-math.exp(-x))
+    return _where(x < _GUMBEL_UNDERFLOW_X, x, lambda x: 0.0, lambda x: _each(math.exp, -_each(math.exp, -x)))
 
 
-def gumbel_density(x: float) -> float:
+def gumbel_density(x):
     """Gumbel density exp(-x - exp(-x)); underflows to 0 for large |x|."""
-    if x < _GUMBEL_UNDERFLOW_X:
-        return 0.0
-    return math.exp(-x - math.exp(-x))
+    return _where(x < _GUMBEL_UNDERFLOW_X, x, lambda x: 0.0, lambda x: _each(math.exp, -x - _each(math.exp, -x)))
 
 
 def gumbel_identity_residual(x: float) -> float:
@@ -71,12 +88,12 @@ def gumbel_identity_residual(x: float) -> float:
     return lhs - gumbel_cdf(x)
 
 
-def gaussian_pdf(x: float) -> float:
+def gaussian_pdf(x):
     """Standard Gaussian density."""
-    return math.exp(-0.5 * x * x - _LOG_SQRT_2PI)
+    return _each(math.exp, -0.5 * x * x - _LOG_SQRT_2PI)
 
 
-def _mills_ratio(r: float) -> float:
+def _mills_ratio(r):
     """Mills ratio tail/pdf via the asymptotic continued fraction.
 
     Backward recurrence, fixed depth; accurate to well below 1e-16
@@ -88,26 +105,29 @@ def _mills_ratio(r: float) -> float:
     return 1.0 / (r + f)
 
 
-def gaussian_tail(r: float) -> float:
+def gaussian_tail(r):
     """Upper tail P{N > r} of the standard Gaussian, without cancellation.
 
     erfc evaluation for r <= 8, asymptotic continued fraction beyond.
     Relative accuracy ~1e-13 or better wherever the value is representable;
     underflows to 0 for r beyond ~37.6 (use `gaussian_log_tail` there).
     """
-    if r <= _TAIL_SWITCH:
-        return 0.5 * math.erfc(r / _SQRT2)
-    return gaussian_pdf(r) * _mills_ratio(r)
+    return _where(
+        r <= _TAIL_SWITCH, r, lambda r: 0.5 * _each(math.erfc, r / _SQRT2), lambda r: gaussian_pdf(r) * _mills_ratio(r)
+    )
 
 
-def gaussian_log_tail(r: float) -> float:
+def gaussian_log_tail(r):
     """log P{N > r}, valid for every finite r (no underflow)."""
-    if r <= _TAIL_SWITCH:
-        return math.log(gaussian_tail(r))
-    return -0.5 * r * r - _LOG_SQRT_2PI + math.log(_mills_ratio(r))
+    return _where(
+        r <= _TAIL_SWITCH,
+        r,
+        lambda r: _each(math.log, gaussian_tail(r)),
+        lambda r: -0.5 * r * r - _LOG_SQRT_2PI + _each(math.log, _mills_ratio(r)),
+    )
 
 
-def gaussian_cdf(x: float) -> float:
+def gaussian_cdf(x):
     """Standard Gaussian distribution function, via the mirrored tail."""
     return gaussian_tail(-x)
 
@@ -122,7 +142,7 @@ def gaussian_tail_asymptotic(r: float) -> float:
     return gaussian_pdf(r) / r
 
 
-def log_residual_density(r: float, x: float) -> float:
+def log_residual_density(r: float, x):
     """Density at x of -ln(N - r) for a standard Gaussian N given N > r.
 
     Closed form pdf(exp(-x) + r) * exp(-x) / tail(r). The exponent is
@@ -131,21 +151,22 @@ def log_residual_density(r: float, x: float) -> float:
         -x - exp(-2x)/2 - r*exp(-x) - r^2/2 - log tail(r)
 
     so the r^2/2 term cancels against the log-tail before exponentiating;
-    intermediate factors never overflow, for any r.
+    intermediate factors never overflow, for any r. log tail(r) is computed
+    once per call.
     """
-    if -x > 350.0:
-        # exp(-2x) alone exceeds 1e304; the double-exponential left tail
-        # is 0 to double precision long before this.
-        return 0.0
-    u = math.exp(-x)
-    exponent = -x - 0.5 * u * u - r * u - 0.5 * r * r - gaussian_log_tail(r)
-    exponent -= _LOG_SQRT_2PI
-    if exponent < -745.0:
-        return 0.0
-    return math.exp(exponent)
+    log_tail_r = gaussian_log_tail(r)
+
+    def density(x):
+        u = _each(math.exp, -x)
+        exponent = -x - 0.5 * u * u - r * u - 0.5 * r * r - log_tail_r
+        exponent -= _LOG_SQRT_2PI
+        return _where(exponent < -745.0, exponent, lambda e: 0.0, lambda e: _each(math.exp, e))
+
+    # Left of -350 exp(-2x) > 1e304; the density is 0 there to double precision.
+    return _where(-x > 350.0, x, lambda x: 0.0, density)
 
 
-def shifted_log_residual_density(r: float, x: float) -> float:
+def shifted_log_residual_density(r: float, x):
     """Density at x of -ln(N - r) - ln(r) given N > r; converges to the
     Gumbel density as r grows.
 
@@ -157,22 +178,25 @@ def shifted_log_residual_density(r: float, x: float) -> float:
 
 
 def _gaussian_scaling(r: float) -> float:
-    """Residual scaling a(r) = 1/r for the Gaussian tail; defined for r > 0."""
+    """Residual scaling a(r) = 1/r for the Gaussian tail; defined for r > 0
+    where 1/r is finite (NonFiniteResult for a subnormal r)."""
     if r <= 0.0:
         raise ValueError(f"Gaussian residual scaling needs r > 0, got {r}")
+    if 1.0 / r == math.inf:
+        raise NonFiniteResult(f"Gaussian residual scaling a(r) = 1/r overflows at r = {r}: 1/r = inf")
     return 1.0 / r
 
 
-def _exponential_cdf(x: float) -> float:
-    return -math.expm1(-x) if x > 0.0 else 0.0
+def _exponential_cdf(x):
+    return _where(x > 0.0, x, lambda x: -_each(math.expm1, -x), lambda x: 0.0)
 
 
-def _exponential_tail(x: float) -> float:
-    return math.exp(-x) if x > 0.0 else 1.0
+def _exponential_tail(x):
+    return _where(x > 0.0, x, lambda x: _each(math.exp, -x), lambda x: 1.0)
 
 
-def _exponential_log_tail(x: float) -> float:
-    return -x if x > 0.0 else 0.0
+def _exponential_log_tail(x):
+    return _where(x > 0.0, x, lambda x: -x, lambda x: 0.0)
 
 
 @dataclass(frozen=True)
@@ -181,7 +205,8 @@ class TailModel:
 
     Bundles a CDF, a directly computed upper tail (never 1 - cdf), the
     residual scaling function a(r) that flattens the tail into exp(-x),
-    and optionally an exact log-tail for deep-tail work.
+    and optionally an exact log-tail for deep-tail work. The built-in
+    models' cdf, tail and log_tail take a float or a 1-d array.
     """
 
     name: str
@@ -190,10 +215,11 @@ class TailModel:
     scaling_a: Callable[[float], float]
     log_tail: Optional[Callable[[float], float]] = None
 
-    def tail_ratio(self, numerator_at: float, denominator_at: float) -> float:
-        """tail(numerator_at)/tail(denominator_at), in log space when possible."""
+    def tail_ratio(self, numerator_at, denominator_at: float):
+        """tail(numerator_at)/tail(denominator_at), in log space when possible;
+        `numerator_at` may be an array."""
         if self.log_tail is not None:
-            return math.exp(self.log_tail(numerator_at) - self.log_tail(denominator_at))
+            return _each(math.exp, self.log_tail(numerator_at) - self.log_tail(denominator_at))
         denom = self.tail(denominator_at)
         if denom <= 0.0:
             raise ZeroTail(f"{self.name} tail underflowed at {denominator_at}")

@@ -8,7 +8,7 @@ from typing import Callable
 
 import numpy as np
 
-from .distributions import TailModel
+from .distributions import TailModel, _each, _where
 from .errors import NoBracket
 from .stats import EmpiricalSample, RngStream
 
@@ -17,6 +17,7 @@ __all__ = [
     "solve_normalizers",
     "gnedenko_lhs",
     "max_cdf",
+    "max_cdf_of_tail",
     "sample_normalized_max",
     "standard_gaussian_sampler",
 ]
@@ -100,8 +101,8 @@ def solve_normalizers(model: TailModel, n: int) -> NormalizingSequence:
     return NormalizingSequence(n=n, scale=model.scaling_a(b), center=b)
 
 
-def gnedenko_lhs(model: TailModel, seq: NormalizingSequence, x: float) -> float:
-    """Expected exceedance count n * tail(scale*x + center).
+def gnedenko_lhs(model: TailModel, seq: NormalizingSequence, x):
+    """Expected exceedance count n * tail(scale*x + center) at a float or array x.
 
     Equals 1 exactly at x = 0 by construction of the center, and converges
     to exp(-x) as n grows for tails in the Gumbel domain.
@@ -109,13 +110,15 @@ def gnedenko_lhs(model: TailModel, seq: NormalizingSequence, x: float) -> float:
     return seq.n * model.tail(seq.scale * x + seq.center)
 
 
-def max_cdf(model: TailModel, seq: NormalizingSequence, x: float) -> float:
-    """P{normalized max of n i.i.d. draws <= x} = F^n(scale*x + center),
-    evaluated as exp(n*log1p(-tail)) so huge n loses nothing."""
-    t = model.tail(seq.scale * x + seq.center)
-    if t >= 1.0:
-        return 0.0
-    return math.exp(seq.n * math.log1p(-t))
+def max_cdf(model: TailModel, seq: NormalizingSequence, x):
+    """P{normalized max of n i.i.d. draws <= x} = F^n(scale*x + center)."""
+    return max_cdf_of_tail(seq.n, model.tail(seq.scale * x + seq.center))
+
+
+def max_cdf_of_tail(n: int, t):
+    """F^n from the tail t = 1 - F (a float or a 1-d array), evaluated as
+    exp(n*log1p(-t)) so huge n loses nothing."""
+    return _where(t >= 1.0, t, lambda t: 0.0, lambda t: _each(math.exp, n * _each(math.log1p, -t)))
 
 
 def standard_gaussian_sampler(gen: np.random.Generator, size: int) -> np.ndarray:

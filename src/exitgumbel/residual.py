@@ -4,12 +4,13 @@ For a tail R, the residual life beyond r has tail R(r+x)/R(r); rescaled
 by the model's a(r) it flattens to exp(-x), and the negative log of the
 residual, shifted by -ln a(r), converges to the Gumbel law. This is the
 bridge between the conditioned exit times and classical extreme values.
+The curve functions take x as a float or a 1-d array (see `distributions`).
 """
 from __future__ import annotations
 
 import math
 
-from .distributions import TailModel
+from .distributions import TailModel, _each, _where
 from .errors import ZeroTail
 from .evt import solve_normalizers
 
@@ -29,7 +30,7 @@ def residual_tail(model: TailModel, r: float, x: float) -> float:
     return model.tail_ratio(r + x, r)
 
 
-def scaled_residual(model: TailModel, r: float, x: float) -> float:
+def scaled_residual(model: TailModel, r: float, x):
     """Residual tail at the model's own scale: tail(r + a(r)*x)/tail(r).
 
     Converges to exp(-x) as r grows for tails in the Gumbel domain.
@@ -37,23 +38,18 @@ def scaled_residual(model: TailModel, r: float, x: float) -> float:
     return model.tail_ratio(r + model.scaling_a(r) * x, r)
 
 
-def log_residual_cdf(model: TailModel, r: float, x: float) -> float:
+def log_residual_cdf(model: TailModel, r: float, x):
     """P{-ln(X - r) <= x | X > r} = tail(r + exp(-x))/tail(r)."""
-    if -x > 700.0:
-        return 0.0
-    return model.tail_ratio(r + math.exp(-x), r)
+    return _where(-x > 700.0, x, lambda x: 0.0, lambda x: model.tail_ratio(r + _each(math.exp, -x), r))
 
 
-def shifted_log_residual_cdf(model: TailModel, r: float, x: float) -> float:
+def shifted_log_residual_cdf(model: TailModel, r: float, x):
     """log-residual CDF recentered by ln a(r); converges to the Gumbel CDF.
 
     Algebraically identical to scaled_residual(model, r, exp(-x)) before
     any limit is taken.
     """
-    a = model.scaling_a(r)
-    if not (a > 0.0 and math.isfinite(a)):
-        raise ValueError(f"scaling a({r}) = {a} must be positive and finite")
-    return log_residual_cdf(model, r, x - math.log(a))
+    return log_residual_cdf(model, r, x - math.log(model.scaling_a(r)))
 
 
 def staircase_scaling(model: TailModel, r: float) -> float:

@@ -62,11 +62,12 @@ class RngStream:
         return self.seed + (self.stream_id << 64)
 
     @staticmethod
-    def _counter(index: int) -> int:
-        """Philox counter (256 bits) at which substream `index` starts."""
+    def _counter(index: int) -> tuple:
+        """Philox counter (256 bits) at which substream `index` starts,
+        index << 128, as 64-bit words, low word first."""
         if not (0 <= index < 1 << 128):
             raise ValueError(f"substream index must be in [0, 2^128), got {index}")
-        return index << 128
+        return (0, 0, index & _MASK64, index >> 64)
 
     def generator(self) -> np.random.Generator:
         """The stream's own generator (counter block 0)."""
@@ -74,21 +75,18 @@ class RngStream:
 
     def substream(self, index: int) -> np.random.Generator:
         """Independent generator for the given substream index."""
-        bit_gen = np.random.Philox(counter=self._counter(index), key=self._key())
+        bit_gen = np.random.Philox(counter=np.array(self._counter(index), dtype=np.uint64), key=self._key())
         return np.random.Generator(bit_gen)
 
     def seat(self, gen: np.random.Generator, index: int) -> np.random.Generator:
         """Move a Philox-backed `gen` to the start of substream `index` and
         return it. Draws then equal those of `substream(index)`; setting the
-        state is several times cheaper than building a new bit generator."""
-        counter, key = self._counter(index), self._key()
+        state is several times cheaper than building a new bit generator. The
+        state setter copies each word, so immutable tuples serve as arrays."""
         gen.bit_generator.state = {
             "bit_generator": "Philox",
-            "state": {
-                "counter": np.array([(counter >> s) & _MASK64 for s in (0, 64, 128, 192)], dtype=np.uint64),
-                "key": np.array([key & _MASK64, key >> 64], dtype=np.uint64),
-            },
-            "buffer": np.zeros(4, dtype=np.uint64),
+            "state": {"counter": self._counter(index), "key": (self.seed, self.stream_id)},
+            "buffer": (0, 0, 0, 0),
             "buffer_pos": 4,
             "has_uint32": 0,
             "uinteger": 0,

@@ -6,11 +6,24 @@ import math
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from exitgumbel import cli
+from exitgumbel import (
+    cli,
+    exponential_tail_model,
+    gaussian_tail_model,
+    gnedenko_lhs,
+    gumbel_cdf,
+    gumbel_density,
+    max_cdf,
+    scaled_residual,
+    shifted_log_residual_cdf,
+    shifted_log_residual_density,
+    solve_normalizers,
+)
 from exitgumbel.cli import main
 from exitgumbel.exitsim import ConditionedSample, ExitRecord
 
@@ -247,6 +260,85 @@ class TestResidualCommand:
         assert _strict(out)["error"]["type"] == "NonFiniteResult"
         assert not (tmp_path / "residual_report.json").exists()
         assert not list(tmp_path.glob("residual_*"))
+
+    def test_subnormal_r_is_typed_runtime_error(self, tmp_path, capsys):
+        # a(r) = 1/r overflows to inf at r = 1e-320: named, not "math domain error"
+        code = main(["residual", "--r", "1e-320", "--output-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        err = _strict(captured.out)["error"]
+        assert code == 3
+        assert err["type"] == "NonFiniteResult"
+        assert "1e-320" in err["message"] and "1/r" in err["message"]
+        assert captured.err == ""
+        assert not list(tmp_path.glob("residual_*"))
+
+
+def _curve_columns(path):
+    """The x, exact, limit and abs_error columns of a curve CSV, parsed."""
+    rows = list(csv.reader(path.read_text().splitlines()))
+    assert rows[0] == ["x", "exact", "limit", "abs_error"]
+    return [np.array([float(cell) for cell in column]) for column in zip(*rows[1:])]
+
+
+def _assert_curve(path, exact_at, limit):
+    """Every cell of the curve file at `path` equals, bit for bit, the scalar
+    function `exact_at` at that x, the limit column `limit(xs)` and their
+    absolute difference."""
+    xs, exact, lim, err = _curve_columns(path)
+    want = np.array([exact_at(float(x)) for x in xs])
+    want_limit = limit(xs)
+    for got, expected in ((exact, want), (lim, want_limit), (err, np.abs(want - want_limit))):
+        np.testing.assert_array_equal(got.view(np.uint64), expected.view(np.uint64))
+
+
+def _scalar_limit(fn):
+    return lambda xs: np.array([fn(float(x)) for x in xs])
+
+
+class TestCurveContract:
+    """Each curve a command writes equals the scalar functions at its grid
+    points, cell by cell, bit for bit."""
+
+    def test_density(self, tmp_path, capsys):
+        argv = ["density-convergence", "--r", "2", "8", "40", "--grid-min", "-360", "--grid-max", "40"]
+        assert main([*argv, "--grid-step", "0.25", "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        for r in (2.0, 8.0, 40.0):
+            _assert_curve(
+                tmp_path / f"density_r{r:g}.csv",
+                lambda x: shifted_log_residual_density(r, x),
+                _scalar_limit(gumbel_density),
+            )
+
+    @pytest.mark.parametrize("model", [gaussian_tail_model(), exponential_tail_model()])
+    def test_residual(self, tmp_path, capsys, model):
+        argv = ["residual", "--model", model.name, "--r", "3", "8", "30", "--grid-min", "-710", "--grid-max", "40"]
+        main([*argv, "--grid-step", "0.25", "--output-dir", str(tmp_path)])
+        capsys.readouterr()
+        for r in (3.0, 8.0, 30.0):
+            _assert_curve(
+                tmp_path / f"residual_scaled_{model.name}_r{r:g}.csv",
+                lambda x: scaled_residual(model, r, x),
+                lambda xs: np.exp(-xs),
+            )
+            _assert_curve(
+                tmp_path / f"residual_shifted_{model.name}_r{r:g}.csv",
+                lambda x: shifted_log_residual_cdf(model, r, x),
+                _scalar_limit(gumbel_cdf),
+            )
+
+    def test_evt(self, tmp_path, capsys):
+        argv = ["evt", "--n", "3", "1000", "1000000000", "--grid-min", "-30", "--grid-max", "700"]
+        assert main([*argv, "--grid-step", "0.5", "--output-dir", str(tmp_path)]) == 0
+        report = _stdout_json(capsys)
+        model = gaussian_tail_model()
+        for n in (3, 1000, 10**9):
+            seq = solve_normalizers(model, n)
+            assert report["normalizers"][str(n)] == {"scale": seq.scale, "center": seq.center}
+            _assert_curve(
+                tmp_path / f"exceedance_n{n}.csv", lambda x: gnedenko_lhs(model, seq, x), lambda xs: np.exp(-xs)
+            )
+            _assert_curve(tmp_path / f"maxcdf_n{n}.csv", lambda x: max_cdf(model, seq, x), _scalar_limit(gumbel_cdf))
 
 
 class TestExitExperiment:

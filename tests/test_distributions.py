@@ -12,6 +12,7 @@ import pytest
 
 from exitgumbel import (
     GridCurve,
+    NonFiniteResult,
     exponential_tail_model,
     gaussian_cdf,
     gaussian_log_tail,
@@ -212,6 +213,10 @@ class TestTailModels:
         assert g.scaling_a(4.0) == pytest.approx(0.25, rel=1e-15)
         with pytest.raises(ValueError):
             g.scaling_a(0.0)
+
+    def test_gaussian_scaling_overflow_is_typed(self):
+        with pytest.raises(NonFiniteResult, match="1e-320"):
+            gaussian_tail_model().scaling_a(1e-320)
 
     def test_exponential_model(self):
         e = exponential_tail_model()

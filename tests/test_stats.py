@@ -52,11 +52,20 @@ class TestRngStream:
         with pytest.raises(ValueError):
             RngStream(seed=5).substream(1 << 128)
 
-    @pytest.mark.parametrize("index", [0, 1, 2048, 2**64 + 5])
+    @pytest.mark.parametrize("index", [0, 1, 2048, 2**64 + 5, 2**128 - 1])
     def test_seat_matches_substream(self, index):
         s = RngStream(seed=77, stream_id=3)
         gen = s.seat(RngStream(seed=1).substream(9), index)
         assert np.array_equal(gen.standard_normal(600), s.substream(index).standard_normal(600))
+
+    @pytest.mark.parametrize("index", [0, 2048, 2**128 - 1])
+    def test_seat_after_partial_draws(self, index):
+        # a half-used buffer and a cached 32-bit half are discarded on seating
+        s = RngStream(seed=2**64 - 1, stream_id=2**64 - 1)
+        gen = s.substream(5)
+        gen.standard_normal(3)
+        gen.integers(0, 2**31, size=1, dtype=np.uint32)
+        assert np.array_equal(s.seat(gen, index).random(9), s.substream(index).random(9))
 
     def test_seating_leaves_other_generators_alone(self):
         s = RngStream(seed=12)
