@@ -3,7 +3,7 @@
 Exit codes: 0 all configured checks passed, 1 a check failed, 2 usage
 error (any parse failure: each flag's range is checked by its parser type
 before any work), 3 runtime error (budget/guard/tail failures, non-finite
-results, a ValueError from inside a command).
+results, a ValueError from inside a command, a closed stdout).
 Each subcommand computes a report; `main` adds the fully resolved
 configuration, writes it as `<first word of the subcommand>_report.json`,
 prints it (identity-suite prints a table instead) and maps its `pass` to
@@ -104,6 +104,7 @@ _FINITE = _checked(float, "a finite number", math.isfinite)
 _POSITIVE = _checked(float, "a finite number > 0", lambda v: v > 0.0 and math.isfinite(v))
 _NONNEGATIVE = _checked(float, "a finite number >= 0", lambda v: v >= 0.0 and math.isfinite(v))
 _STEP = _checked(float, f"in (0, {MAX_STEP:g}]", lambda v: 0.0 < v <= MAX_STEP)
+_WORKERS = _checked(lambda text: max(1, min(int(text), os.cpu_count() or 1)), "an integer", lambda v: True)
 _SEED = _checked(int, f"an integer in [0, 2^64) (--seed or {SEED_ENV_VAR})", lambda v: 0 <= v < 2**64)
 
 
@@ -139,13 +140,14 @@ def _write_curve(path: Path, fmt: str, xs, exact, limit) -> float:
         "limit": limit,
         "abs_error": np.abs(exact - limit),
     }
+    target = path.with_name(f"{path.name}.{fmt}")  # not with_suffix: "r0.5" keeps its ".5"
     if fmt == "json":
-        _write_json(path.with_suffix(".json"), {name: column.tolist() for name, column in columns.items()})
+        _write_json(target, {name: column.tolist() for name, column in columns.items()})
     elif all(np.isfinite(column).all() for column in columns.values()):
         template = ",".join(["%" + FLOAT_FORMAT] * len(columns))
-        write_csv(path.with_suffix(".csv"), tuple(columns), template, zip(*columns.values()))
+        write_csv(target, tuple(columns), template, zip(*columns.values()))
     else:
-        raise NonFiniteResult(f"curve {path.with_suffix('.csv').name} holds a non-finite value")
+        raise NonFiniteResult(f"curve {target.name} holds a non-finite value")
     return float(np.max(columns["abs_error"]))
 
 
@@ -200,7 +202,6 @@ def _resolved_config(args) -> dict:
 def cmd_exit_experiment(args) -> dict:
     """Sample conditioned exits, compare with the limit law, write samples
     and report the KS statistic."""
-    args.workers = max(1, min(args.workers, os.cpu_count() or 1))
     try:
         problem = ExitProblem(
             model=LinearDriftModel(beta=args.beta), epsilon=args.epsilon, a=args.a, step=args.step
@@ -283,7 +284,7 @@ def cmd_evt(args) -> dict:
     if args.replicas > 0:
         seq = solve_normalizers(model, args.mc_n)
         sample = sample_normalized_max(
-            standard_gaussian_sampler, seq, args.replicas, RngStream(seed=args.seed)
+            standard_gaussian_sampler, seq, args.replicas, RngStream(seed=args.seed), workers=args.workers
         )
         ks = ks_one_sample(sample, lambda x: max_cdf(model, seq, x))
         threshold = args.mc_ks_threshold
@@ -425,6 +426,10 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("csv", "json"), default="csv", help="curve file format")
 
 
+def _add_workers(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--workers", type=_WORKERS, default=os.cpu_count() or 1, help="clamped to [1, CPU count]")
+
+
 def _add_grid(parser: argparse.ArgumentParser, lo: float, hi: float, step: float) -> None:
     parser.add_argument("--grid-min", type=_FINITE, default=lo)
     parser.add_argument("--grid-max", type=_FINITE, default=hi)
@@ -447,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_STEP, default=1e-3, help="integration step")
     p.add_argument("--ks-threshold", type=_NONNEGATIVE, default=0.03)
     p.add_argument("--budget", type=_at_least(1), default=10**9, help="attempt cap for rejection sampling")
-    p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    _add_workers(p)
     _add_common(p)
     p.set_defaults(func=cmd_exit_experiment)
 
@@ -463,6 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=_at_least(0), default=0, help="Monte Carlo replicas (0 = skip sampling)")
     p.add_argument("--mc-n", type=_at_least(3), default=10_000, help="block size for the Monte Carlo cross-check")
     p.add_argument("--mc-ks-threshold", type=_NONNEGATIVE, default=None)
+    _add_workers(p)
     _add_grid(p, -2.0, 4.0, 0.05)
     _add_common(p)
     p.set_defaults(func=cmd_evt)
@@ -483,6 +489,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    show, report = _emit, None
     try:
         args = build_parser().parse_args(argv)
         out = Path(args.output_dir)
@@ -490,19 +497,24 @@ def main(argv=None) -> int:
         report = args.func(args)
         report["config"] = _resolved_config(args)
         _write_json(out / f"{args.subcommand.split('-')[0]}_report.json", report)
-        if args.subcommand == "identity-suite":
-            _print_checks(report)
-        else:
-            _emit(report)
-        return PASS if report["pass"] else CHECK_FAILED
-    except SystemExit as exc:  # --help and --version
-        return exc.code
-    except UsageError as exc:
-        _emit({"error": {"type": "UsageError", "message": str(exc)}})
-        return USAGE_ERROR
-    except (ExitGumbelError, OSError, ValueError) as exc:
-        _emit({"error": {"type": type(exc).__name__, "message": str(exc)}})
+        show = _print_checks if args.subcommand == "identity-suite" else _emit
+        code = PASS if report["pass"] else CHECK_FAILED
+    except SystemExit as exc:  # --help and --version print their own text
+        code = exc.code
+    except (UsageError, ExitGumbelError, OSError, ValueError) as exc:
+        report = {"error": {"type": type(exc).__name__, "message": str(exc)}}
+        code = USAGE_ERROR if isinstance(exc, UsageError) else RUNTIME_ERROR
+    try:
+        if report is not None:
+            show(report)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The report file is written but not delivered; later writes, the flush at exit too, go nowhere.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return RUNTIME_ERROR
+    return code
 
 
 if __name__ == "__main__":

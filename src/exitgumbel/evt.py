@@ -3,6 +3,7 @@ tail-count criterion curves, and Monte Carlo block maxima."""
 from __future__ import annotations
 
 import math
+from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable
 
@@ -131,20 +132,32 @@ def sample_normalized_max(
     seq: NormalizingSequence,
     replicas: int,
     rng,
+    workers: int = 1,
 ) -> EmpiricalSample:
     """Monte Carlo normalized block maxima: each replica draws seq.n i.i.d.
     values and records (max - center)/scale.
 
-    Replica i draws from substream i of the given stream, so results are
-    reproducible and independent of any parallel split.
+    Replica i draws from substream i of the given stream, so the result is
+    the same for every worker count. Each of `workers` threads fills a
+    contiguous range (numpy's draws release the GIL), so the sampler is
+    called concurrently, each call with its own single-owner generator.
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
     if isinstance(rng, np.random.Generator):
         raise TypeError("replica sampling needs an RngStream (or seed), not a Generator")
     stream = rng if isinstance(rng, RngStream) else RngStream(int(rng))
-    out = np.empty(replicas, dtype=float)
-    for i in range(replicas):
-        draws = sampler(stream.substream(i), seq.n)
-        out[i] = (float(np.max(draws)) - seq.center) / seq.scale
+    out = np.full(replicas, np.nan)  # a replica no range fills fails the finiteness check
+
+    def fill(start: int, stop: int) -> None:
+        gen = np.random.Generator(np.random.Philox(key=0))  # seated at each replica
+        for i in range(start, stop):
+            out[i] = (float(np.max(sampler(stream.seat(gen, i), seq.n))) - seq.center) / seq.scale
+
+    if workers <= 1:
+        fill(0, replicas)
+    else:  # futures loads its thread pool module here, on first use
+        bounds = [replicas * k // workers for k in range(workers + 1)]
+        with futures.ThreadPoolExecutor(max_workers=min(workers, replicas)) as pool:
+            list(pool.map(fill, bounds[:-1], bounds[1:]))
     return EmpiricalSample.from_values(out)

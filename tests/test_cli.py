@@ -3,6 +3,9 @@ import argparse
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -26,6 +29,7 @@ from exitgumbel import (
 )
 from exitgumbel.cli import main
 from exitgumbel.exitsim import ConditionedSample, ExitRecord
+from exitgumbel.stats import EmpiricalSample
 
 
 def _strict(text):
@@ -184,6 +188,23 @@ class TestEvtCommand:
         assert code == 0
         assert report["monte_carlo"]["pass"] is True
 
+    def test_worker_count_changes_no_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # threads even on one core
+        reports = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            argv = ["evt", "--n", "1000", "--replicas", "50", "--mc-n", "100", "--workers", str(workers)]
+            assert main([*argv, "--output-dir", str(out)]) == 0
+            reports[workers] = _stdout_json(capsys)
+            assert reports[workers]["config"].pop("workers") == workers
+            assert reports[workers]["config"].pop("output_dir") == str(out)
+        assert reports[1] == reports[2]
+        names = sorted(path.name for path in (tmp_path / "w1").glob("*.csv"))
+        assert names == sorted(path.name for path in (tmp_path / "w2").glob("*.csv"))
+        assert len(names) == 2
+        for name in names:
+            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+
     def test_small_n_usage_error(self, tmp_path, capsys):
         code = main(["evt", "--n", "2", "--output-dir", str(tmp_path)])
         err = _stdout_json(capsys)
@@ -327,6 +348,22 @@ class TestCurveContract:
                 _scalar_limit(gumbel_cdf),
             )
 
+    @pytest.mark.parametrize(
+        "subcommand, stems",
+        [
+            ("density-convergence", ["density_r{}"]),
+            ("residual", ["residual_scaled_gaussian_r{}", "residual_shifted_gaussian_r{}"]),
+        ],
+        ids=["density-convergence", "residual"],
+    )
+    def test_fractional_thresholds_keep_their_own_files(self, tmp_path, capsys, subcommand, stems):
+        main([subcommand, "--r", "0.5", "0.7", "--grid-step", "0.1", "--output-dir", str(tmp_path)])
+        capsys.readouterr()
+        for stem in stems:
+            half, seven = ((tmp_path / f"{stem.format(r)}.csv").read_bytes() for r in ("0.5", "0.7"))
+            assert half != seven
+            assert not (tmp_path / f"{stem.format(0)}.csv").exists()
+
     def test_evt(self, tmp_path, capsys):
         argv = ["evt", "--n", "3", "1000", "1000000000", "--grid-min", "-30", "--grid-max", "700"]
         assert main([*argv, "--grid-step", "0.5", "--output-dir", str(tmp_path)]) == 0
@@ -409,26 +446,6 @@ class TestExitExperiment:
         report = _stdout_json(capsys)
         assert code == 0
         assert report["config"]["seed"] == 777
-
-
-    def test_workers_clamped_to_cpu_count(self, tmp_path, capsys, monkeypatch):
-        seen = []
-
-        def fake_sampler(problem, n, stream, budget, workers):
-            seen.append(workers)
-            records = tuple(
-                ExitRecord(tau=5.0 + i, side="right", normalized_time=0.4 + i, steps_taken=5000 + i)
-                for i in range(n)
-            )
-            return ConditionedSample(records=records, attempt_indices=tuple(range(n)), attempts=n)
-
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(cli, "sample_conditioned_exits", fake_sampler)
-        base = ["exit-experiment", "--n", "4", "--ks-threshold", "1.0", "--output-dir", str(tmp_path)]
-        for requested, used in (("64", 3), ("2", 2), ("0", 1)):
-            assert main(base + ["--workers", requested]) == 0
-            assert _stdout_json(capsys)["config"]["workers"] == used
-        assert seen == [3, 2, 1]
 
 
 # Small arguments per subcommand: (passing run, extra arguments that make
@@ -581,6 +598,37 @@ class TestInputGate:
             assert err["type"] == "UsageError"
             assert f"argument {flag}:" in err["message"]
 
+    @pytest.mark.parametrize("subcommand", ["exit-experiment", "evt"])
+    def test_workers_clamped_to_cpu_count(self, tmp_path, capsys, monkeypatch, subcommand):
+        seen = []
+
+        def fake_exits(problem, n, stream, budget, workers):
+            seen.append(workers)
+            records = tuple(
+                ExitRecord(tau=5.0 + i, side="right", normalized_time=0.4 + i, steps_taken=5000 + i)
+                for i in range(n)
+            )
+            return ConditionedSample(records=records, attempt_indices=tuple(range(n)), attempts=n)
+
+        def fake_maxima(sampler, seq, replicas, stream, workers):
+            seen.append(workers)
+            return EmpiricalSample.from_values(np.linspace(-1.0, 1.0, replicas))
+
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(cli, "sample_conditioned_exits", fake_exits)
+        monkeypatch.setattr(cli, "sample_normalized_max", fake_maxima)
+        args = {
+            "exit-experiment": ["--n", "4", "--ks-threshold", "1.0"],
+            "evt": ["--n", "1000", "--replicas", "4", "--mc-ks-threshold", "1.0"],
+        }[subcommand]
+        base = [subcommand, *args, "--output-dir", str(tmp_path)]
+        for requested, used in (("64", 3), ("2", 2), ("0", 1), ("-5", 1)):
+            assert main(base + ["--workers", requested]) == 0
+            assert _stdout_json(capsys)["config"]["workers"] == used
+        assert main(base) == 0  # the default is the CPU count
+        assert _stdout_json(capsys)["config"]["workers"] == 3
+        assert seen == [3, 2, 1, 1, 3]
+
     def test_no_numeric_flag_is_unchecked(self):
         # a bare int/float type would accept any value; --workers is clamped
         parser = cli.build_parser()
@@ -640,3 +688,35 @@ class TestInputGate:
         assert code == 2
         assert captured.err == ""
         assert _strict(captured.out)["error"]["type"] == "UsageError"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv, report",
+    [
+        (["density-convergence", "--r", "0.5", "0.7", "--grid-step", "0.1"], "density_report.json"),
+        (["identity-suite"], "identity_report.json"),
+    ],
+    ids=["density-convergence", "identity-suite"],
+)
+def test_closed_stdout_is_runtime_error_without_traceback(tmp_path, argv, report, unbuffered):
+    # the read end is closed before the child starts, so its first write to
+    # stdout fails, whether on print or on the flush
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env["PYTHONUNBUFFERED"] = unbuffered  # empty: block-buffered, as for any pipe
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "exitgumbel.cli", *argv, "--output-dir", str(tmp_path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=120,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 3
+    assert proc.stderr == b""
+    assert (tmp_path / report).exists()

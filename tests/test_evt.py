@@ -1,5 +1,6 @@
 """Normalizing sequences, exceedance-count curves, and block maxima."""
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -153,6 +154,37 @@ class TestNormalizedMaxSampling:
         sample = sample_normalized_max(standard_gaussian_sampler, seq, 2000, RngStream(14))
         stat = ks_one_sample(sample, lambda x: max_cdf(GAUSS, seq, x))
         assert stat <= ks_one_sample_critical(2000)
+
+    @pytest.mark.parametrize("replicas", [1, 7, 100])
+    @pytest.mark.parametrize("workers", [1, 2, 3, 8])
+    def test_every_worker_count_matches_per_replica_substreams(self, workers, replicas):
+        # uneven splits, and more workers than replicas
+        seq = solve_normalizers(GAUSS, 50)
+        stream = RngStream(3, 2)
+        reference = np.sort(
+            [(float(np.max(stream.substream(i).standard_normal(seq.n))) - seq.center) / seq.scale for i in range(replicas)]
+        )
+        sample = sample_normalized_max(standard_gaussian_sampler, seq, replicas, stream, workers=workers)
+        np.testing.assert_array_equal(sample.values.view(np.uint64), reference.view(np.uint64))
+
+    def test_threads_take_an_unpicklable_sampler(self):
+        seq = solve_normalizers(GAUSS, 50)
+        serial = sample_normalized_max(standard_gaussian_sampler, seq, 40, RngStream(5))
+        threaded = sample_normalized_max(lambda gen, size: gen.standard_normal(size), seq, 40, RngStream(5), workers=2)
+        np.testing.assert_array_equal(threaded.values.view(np.uint64), serial.values.view(np.uint64))
+
+    def test_threads_under_fast_switching(self):
+        # more threads than cores, switching every microsecond: every slot
+        # of the shared output is still written by its own range only
+        seq = solve_normalizers(GAUSS, 20)
+        serial = sample_normalized_max(standard_gaussian_sampler, seq, 500, RngStream(9))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = sample_normalized_max(standard_gaussian_sampler, seq, 500, RngStream(9), workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(threaded.values.view(np.uint64), serial.values.view(np.uint64))
 
     def test_rejects_bad_arguments(self):
         seq = solve_normalizers(GAUSS, 10)
