@@ -83,6 +83,12 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise UsageError(message)
 
+    def _print_message(self, message, file=None):
+        """As argparse's, but a failed write (--help or --version to a
+        closed stdout) raises instead of being dropped."""
+        if message:
+            (file or sys.stderr).write(message)
+
 
 def _checked(cast, rule: str, ok):
     """An argparse type that casts the text and accepts the value only where
@@ -423,7 +429,6 @@ def _print_checks(report: dict) -> None:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=_SEED, default=os.environ.get(SEED_ENV_VAR, "42"), help="base RNG seed (env EXITGUMBEL_SEED overrides the default 42)")
     parser.add_argument("--output-dir", type=str, default="exitgumbel-out", help="directory for files")
-    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="curve file format")
 
 
 def _add_workers(parser: argparse.ArgumentParser) -> None:
@@ -434,6 +439,7 @@ def _add_grid(parser: argparse.ArgumentParser, lo: float, hi: float, step: float
     parser.add_argument("--grid-min", type=_FINITE, default=lo)
     parser.add_argument("--grid-max", type=_FINITE, default=hi)
     parser.add_argument("--grid-step", type=_POSITIVE, default=step)
+    parser.add_argument("--format", choices=("csv", "json"), default="csv", help="curve file format")
 
 
 def build_parser() -> argparse.ArgumentParser:

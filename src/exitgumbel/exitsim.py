@@ -1,7 +1,7 @@
 """Small-noise exit-time simulation for the linear-drift diffusion.
 
-The model is dX = beta*X dt + epsilon dW on an interval around the
-unstable equilibrium at 0, started at x0 = -epsilon*a, run to the first
+The model is dX = beta*X dt + epsilon dW on the interval (-1, 1) around
+the unstable equilibrium at 0, started at x0 = -epsilon*a, run to the first
 boundary exit. Exits through the right end oppose the drift and become
 exponentially rare as epsilon shrinks; this module provides
 
@@ -20,9 +20,8 @@ for epsilon under shared noise.
 """
 from __future__ import annotations
 
-import contextlib
 import math
-from concurrent.futures import ProcessPoolExecutor
+from concurrent import futures
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -93,9 +92,9 @@ class LinearDriftModel:
 
 @dataclass(frozen=True)
 class ExitProblem:
-    """One conditioned-exit experiment.
+    """One conditioned-exit experiment on the domain (-1, 1).
 
-    Start point is -epsilon*a, strictly inside (left, 0). The guard
+    Start point is -epsilon*a, strictly inside (-1, 0). The guard
     horizon caps simulated time; exits happen almost surely well before
     the default guard of centering + 40/beta.
     """
@@ -103,8 +102,6 @@ class ExitProblem:
     model: LinearDriftModel
     epsilon: float
     a: float
-    left: float = -1.0
-    right: float = 1.0
     step: float = 1e-3
     guard_horizon: Optional[float] = None
 
@@ -113,12 +110,10 @@ class ExitProblem:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise ValueError(f"a must be positive, got {self.a}")
-        if not (self.left < 0.0 < self.right):
-            raise ValueError("domain must satisfy left < 0 < right")
-        if not (self.left < -self.epsilon * self.a < 0.0):
+        if not (-1.0 < -self.epsilon * self.a < 0.0):
             raise ValueError(
                 f"start -epsilon*a = {-self.epsilon * self.a} must lie strictly "
-                f"inside ({self.left}, 0)"
+                "inside (-1, 0)"
             )
         if not (0.0 < self.step <= MAX_STEP):
             raise ValueError(f"step must be in (0, {MAX_STEP:g}], got {self.step}")
@@ -136,6 +131,11 @@ class ExitProblem:
     def centering_time(self) -> float:
         """(1/beta) * ln(1/epsilon), the deterministic part of the exit time."""
         return math.log(1.0 / self.epsilon) / self.model.beta
+
+    @property
+    def bound(self) -> float:
+        """1/epsilon, the domain's half-width in Y = X/epsilon units."""
+        return 1.0 / self.epsilon
 
     @property
     def guard_steps(self) -> int:
@@ -268,22 +268,21 @@ def _run_linear_exit(
     noise_scale: float,
     draw: Callable[[int], np.ndarray],
 ) -> ExitRecord:
-    """First exit of the linear recursion from (left, right), shared by both
+    """First exit of the linear recursion from (-1, 1), shared by both
     integrators and the noise replay; raises GuardExceeded without one."""
-    y_left = problem.left / problem.epsilon
-    y_right = problem.right / problem.epsilon
+    bound = problem.bound
     first, followup = _chunk_schedule(problem, growth)
     chunks = _linear_chunks(-problem.a, growth, noise_scale, draw, problem.guard_steps, first, followup)
     steps_done = 0
     for ys in chunks:
-        hit = (ys >= y_right) | (ys <= y_left)
+        hit = np.abs(ys) >= bound
         if hit.any():
             k = int(np.argmax(hit))
             steps = steps_done + k + 1
             tau = steps * problem.step
             return ExitRecord(
                 tau=tau,
-                side="right" if ys[k] >= y_right else "left",
+                side="right" if ys[k] >= bound else "left",
                 normalized_time=tau - problem.centering_time,
                 steps_taken=steps,
             )
@@ -310,7 +309,7 @@ def simulate_exit_exact(problem: ExitProblem, rng) -> ExitRecord:
     """Simulate one exit with the exact Gaussian transition of the linear SDE.
 
     Steps X(t+h) = e^(beta h) X(t) + epsilon*sqrt((e^(2 beta h)-1)/(2 beta))*xi
-    and stops at the first grid time with X outside (left, right). Raises
+    and stops at the first grid time with X outside (-1, 1). Raises
     GuardExceeded if no exit occurs before the guard horizon.
     """
     gen = as_generator(rng)
@@ -348,25 +347,17 @@ def _increment_sds(beta: float, step: float, times: np.ndarray) -> np.ndarray:
     return base * np.exp(-beta * times)
 
 
-def sample_noise(
-    beta: float,
-    step: float,
-    rng,
-    horizon: Optional[float] = None,
-) -> NoiseRealization:
+def sample_noise(beta: float, step: float, rng) -> NoiseRealization:
     """Draw one realization of the discounted noise integral.
 
     Increments over [t, t+h] are centered Gaussians with the exact
     variance (e^(-2 beta t) - e^(-2 beta (t+h)))/(2 beta), so the values
-    have the exact joint law at the grid times. Default horizon satisfies
+    have the exact joint law at the grid times. The horizon T satisfies
     exp(-beta*T) <= 1e-9.
     """
     if beta <= 0.0 or step <= 0.0:
         raise ValueError("beta and step must be positive")
-    if horizon is None:
-        n = int(math.ceil(math.log(1.0 / _NOISE_DECAY_TARGET) / (beta * step))) + 1
-    else:
-        n = int(math.ceil(horizon / step))
+    n = int(math.ceil(math.log(1.0 / _NOISE_DECAY_TARGET) / (beta * step))) + 1
     gen = as_generator(rng)
     times = np.arange(n + 1, dtype=float) * step
     increments = _increment_sds(beta, step, times[:-1]) * gen.standard_normal(n)
@@ -393,7 +384,7 @@ def duhamel_exit_time(noise: NoiseRealization, problem: ExitProblem) -> ExitReco
         raise ValueError("noise and problem disagree on beta")
     shifted = -problem.a + noise.values
     path = problem.epsilon * np.exp(noise.beta * noise.times) * shifted
-    hit = (path >= problem.right) | (path <= problem.left)
+    hit = np.abs(path) >= 1.0
     hit[0] = False
     if not hit.any():
         raise GuardExceeded("no boundary crossing on the noise grid")
@@ -437,32 +428,30 @@ def limit_normalized_time(noise: NoiseRealization, a: float) -> float:
 
 
 def _truncated_gaussian_batch(r: float, gen: np.random.Generator, size: int) -> np.ndarray:
-    out = np.empty(size, dtype=float)
-    filled = 0
     if r < 1.0:
         # Plain rejection from the untruncated Gaussian; acceptance is
         # tail(r) >= tail(1) ~ 0.159 on this branch.
         accept_rate = max(gaussian_tail(r), 1e-3)
-        while filled < size:
-            need = size - filled
-            m = min(1_000_000, int(need / accept_rate * 1.25) + 16)
-            draws = gen.standard_normal(m)
-            kept = draws[draws > r]
-            take = min(kept.size, need)
-            out[filled : filled + take] = kept[:take]
-            filled += take
-        return out
-    # Shifted-exponential proposal (acceptance stays bounded away from 0
-    # as r grows, where plain rejection collapses like tail(r)).
-    alpha = 0.5 * (r + math.sqrt(r * r + 4.0))
+
+        def propose(need: int) -> np.ndarray:
+            draws = gen.standard_normal(min(1_000_000, int(need / accept_rate * 1.25) + 16))
+            return draws[draws > r]
+
+    else:
+        # Shifted-exponential proposal (acceptance stays bounded away from 0
+        # as r grows, where plain rejection collapses like tail(r)).
+        alpha = 0.5 * (r + math.sqrt(r * r + 4.0))
+
+        def propose(need: int) -> np.ndarray:
+            m = min(1_000_000, int(need * 1.8) + 16)
+            z = r + gen.standard_exponential(m) / alpha
+            return z[np.log(gen.random(m)) <= -0.5 * (z - alpha) ** 2]
+
+    out = np.empty(size, dtype=float)
+    filled = 0
     while filled < size:
-        need = size - filled
-        m = min(1_000_000, int(need * 1.8) + 16)
-        z = r + gen.standard_exponential(m) / alpha
-        log_accept = -0.5 * (z - alpha) ** 2
-        u = gen.random(m)
-        kept = z[np.log(u) <= log_accept]
-        take = min(kept.size, need)
+        kept = propose(size - filled)
+        take = min(kept.size, size - filled)
         out[filled : filled + take] = kept[:take]
         filled += take
     return out
@@ -528,7 +517,7 @@ def _rejection_depth(problem: ExitProblem) -> float:
     exits anyway.
     """
     c = _REJECTION_Z / math.sqrt(2.0 * problem.model.beta)
-    return min(c, -problem.left / problem.epsilon)
+    return min(c, problem.bound)
 
 
 @lru_cache(maxsize=8)
@@ -538,14 +527,14 @@ def _coarse_tables(problem: ExitProblem):
     The path is Y_k = g^k * (-a + I_k) with I_k = s * sum_j g^-j xi_j, which
     is W(V_k) for a Brownian motion W on the clock V_k = (1 - g^-2k)/(2 beta).
     Knots sit every _COARSE fine steps (the last interval ends at the guard).
-    In I-space the right boundary a + (right/eps)*g^-k decreases and the left
-    one a + (left/eps)*g^-k increases, so over an interval both are tightest
+    In I-space the right boundary a + (1/eps)*g^-k decreases and the left
+    one a - (1/eps)*g^-k increases, so over an interval both are tightest
     at its right knot. Per interval m: first fine step `start`, `length`,
     noise scale g^-start, knot increment sd sqrt(dV), refine threshold
     dV*ln(2/delta)/2, and the boundaries and rejection floor a - c*g^-k at
     its right knot; per fine offset i = 1.._COARSE: g^-i, s*g^-i and
     1 - g^-2i (the bridge weight's numerator). Fine-step boundaries are
-    a + (right/eps)*(g^-start * g^-i), the same expression as at the knots.
+    a +- (1/eps)*(g^-start * g^-i), the same expressions as at the knots.
     """
     beta, h = problem.model.beta, problem.step
     _, s = _exact_coefficients(problem)
@@ -556,8 +545,7 @@ def _coarse_tables(problem: ExitProblem):
     decay = np.exp(-beta * h * offsets)
     scale = np.exp(-beta * h * start)
     knot_decay = scale * decay[length - 1]
-    y_right = problem.right / problem.epsilon
-    y_left = problem.left / problem.epsilon
+    bound = problem.bound
     bridge_var = -np.expm1(-2.0 * beta * h * offsets)
     dv = scale * scale * bridge_var[length - 1] / (2.0 * beta)
     tables = dict(
@@ -566,8 +554,8 @@ def _coarse_tables(problem: ExitProblem):
         scale=scale,
         knot_sd=np.sqrt(dv),
         near=dv * (0.5 * math.log(2.0 / _BRIDGE_DELTA)),
-        upper=problem.a + y_right * knot_decay,
-        lower=problem.a + y_left * knot_decay,
+        upper=problem.a + bound * knot_decay,
+        lower=problem.a - bound * knot_decay,
         floor=problem.a - _rejection_depth(problem) * knot_decay,
         decay=decay,
         step_noise=s * decay,
@@ -623,9 +611,7 @@ def _batch_right_exits(problem, stream, attempts, gens):
     own path, never on the batch.
     """
     t = _coarse_tables(problem)
-    h, centering, a = problem.step, problem.centering_time, problem.a
-    y_right = problem.right / problem.epsilon
-    y_left = problem.left / problem.epsilon
+    h, centering, a, bound = problem.step, problem.centering_time, problem.a, problem.bound
     intervals = t["start"].size
 
     live = [stream.seat(gen, i) for gen, i in zip(gens, attempts)]
@@ -663,8 +649,8 @@ def _batch_right_exits(problem, stream, attempts, gens):
             m = lo + pc
             _bridge_fill(t, m, path[pr, pc], path[pr, pc + 1], fine)
             fine_decay = t["scale"][m][:, None] * t["decay"]
-            right = fine >= a + y_right * fine_decay
-            crossed = right | (fine <= a + y_left * fine_decay)
+            right = fine >= a + bound * fine_decay
+            crossed = right | (fine <= a - bound * fine_decay)
             crossed &= np.arange(_COARSE) < t["length"][m][:, None]
             crossing = np.flatnonzero(crossed.any(axis=1))
             if crossing.size:
@@ -742,7 +728,7 @@ def sample_conditioned_exits(
     sampler's but not bit-identical, and differ from those of versions that
     stepped every attempt at fine resolution.
 
-    The saving needs a band half-width min(|left|, right)/epsilon wide
+    The saving needs a band half-width 1/epsilon wide
     against the noise scale 1/sqrt(2 beta), the small-noise regime (100
     against 0.71 at the parameters above). In a narrow band, such as
     epsilon = 0.5 (2 against 0.71), almost every interval is refined and
@@ -765,38 +751,33 @@ def sample_conditioned_exits(
             f"(limit acceptance rate {p_limit:.3g}); use limit_law_sample instead"
         )
 
-    hits = []
-    next_block = 0
     max_blocks = int(math.ceil(budget / _BLOCK_ATTEMPTS))
-    wave_blocks = 1
-    pool = None
-    if workers > 1:
-        estimate = int(math.ceil((n_accept + 4.0 * math.sqrt(n_accept) + 16.0) / p_limit))
-        wave_blocks = max(workers, int(math.ceil(estimate / _BLOCK_ATTEMPTS)))
-        pool = ProcessPoolExecutor(max_workers=workers)
-    with pool or contextlib.nullcontext():
-        run = pool.map if pool else map
+
+    def collect(run, wave_blocks: int) -> list:
+        """Right exits of waves of blocks, each wave mapped by `run`, until
+        n_accept are found; waves halve, down to `workers` blocks."""
+        hits, next_block = [], 0
         while len(hits) < n_accept:
             if next_block >= max_blocks:
-                raise BudgetExceeded(
-                    f"budget {budget} exhausted with {len(hits)} acceptances"
-                )
+                raise BudgetExceeded(f"budget {budget} exhausted with {len(hits)} acceptances")
             wave = range(next_block, min(next_block + wave_blocks, max_blocks))
             need = n_accept - len(hits)
             tasks = [
-                (
-                    problem,
-                    stream,
-                    b * _BLOCK_ATTEMPTS,
-                    min((b + 1) * _BLOCK_ATTEMPTS, budget),
-                    need,
-                )
+                (problem, stream, b * _BLOCK_ATTEMPTS, min((b + 1) * _BLOCK_ATTEMPTS, budget), need)
                 for b in wave
             ]
             for block_hits in run(_conditioned_block, tasks):
                 hits.extend(block_hits)
             next_block = wave.stop
             wave_blocks = max(workers, wave_blocks // 2)
+        return hits
+
+    if workers <= 1:
+        hits = collect(map, 1)
+    else:  # futures loads its process pool module here, on first use
+        estimate = int(math.ceil((n_accept + 4.0 * math.sqrt(n_accept) + 16.0) / p_limit))
+        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            hits = collect(pool.map, max(workers, int(math.ceil(estimate / _BLOCK_ATTEMPTS))))
 
     records = []
     indices = []

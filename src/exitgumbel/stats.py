@@ -108,7 +108,6 @@ class EmpiricalSample:
     """A sorted sample of real values."""
 
     values: np.ndarray
-    count: int
 
     def __post_init__(self) -> None:
         values = np.asarray(self.values, dtype=float)
@@ -118,14 +117,16 @@ class EmpiricalSample:
             raise ValueError("sample values must be finite")
         if not np.all(values[1:] >= values[:-1]):
             raise ValueError("sample values must be sorted ascending")
-        if self.count != values.size:
-            raise ValueError("count does not match number of values")
         object.__setattr__(self, "values", values)
+
+    @property
+    def count(self) -> int:
+        return self.values.size
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "EmpiricalSample":
         arr = np.sort(np.asarray(list(values) if not isinstance(values, np.ndarray) else values, dtype=float))
-        return cls(values=arr, count=int(arr.size))
+        return cls(values=arr)
 
 
 def ecdf(sample: EmpiricalSample, x):
@@ -183,6 +184,7 @@ def _simpson(f, a, fa, b, fb):
 
 _SIMPSON_PANELS = 16
 _SIMPSON_MIN_DEPTH = 3  # never accept before this many splits per panel
+_SIMPSON_MAX_DEPTH = 48  # accept a panel's estimate after this many splits, converged or not
 
 
 def integrate_adaptive_simpson(
@@ -190,7 +192,6 @@ def integrate_adaptive_simpson(
     a: float,
     b: float,
     tol: float = 1e-10,
-    max_depth: int = 48,
 ) -> float:
     """Adaptive Simpson quadrature of f over [a, b].
 
@@ -205,7 +206,7 @@ def integrate_adaptive_simpson(
         flo, fhi = f(lo), f(hi)
         m, fm, whole = _simpson(f, lo, flo, hi, fhi)
         total += _simpson_rec(
-            f, lo, flo, m, fm, hi, fhi, whole, panel_tol, max_depth, _SIMPSON_MIN_DEPTH
+            f, lo, flo, m, fm, hi, fhi, whole, panel_tol, _SIMPSON_MAX_DEPTH, _SIMPSON_MIN_DEPTH
         )
     return total
 

@@ -652,6 +652,14 @@ class TestInputGate:
         assert f"argument {flag}:" in err["error"]["message"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("subcommand", ["exit-experiment", "identity-suite"])
+    def test_format_belongs_to_curve_commands(self, tmp_path, capsys, subcommand):
+        code = main([subcommand, "--format", "json", "--output-dir", str(tmp_path / "out")])
+        err = _stdout_json(capsys)
+        assert code == 2
+        assert "--format" in err["error"]["message"]
+        assert not (tmp_path / "out").exists()
+
     def test_start_outside_domain_is_usage_error(self, tmp_path, capsys):
         code = main(["exit-experiment", "--epsilon", "0.5", "--a", "3", "--output-dir", str(tmp_path)])
         err = _stdout_json(capsys)
@@ -696,17 +704,18 @@ class TestInputGate:
     [
         (["density-convergence", "--r", "0.5", "0.7", "--grid-step", "0.1"], "density_report.json"),
         (["identity-suite"], "identity_report.json"),
+        (["--help"], None),  # argparse drops a failed write of its own text
+        (["--version"], None),
+        (["evt", "--help"], None),
     ],
-    ids=["density-convergence", "identity-suite"],
+    ids=["density-convergence", "identity-suite", "help", "version", "evt-help"],
 )
 def test_closed_stdout_is_runtime_error_without_traceback(tmp_path, argv, report, unbuffered):
     # the read end is closed before the child starts, so its first write to
     # stdout fails, whether on print or on the flush
     read_end, write_end = os.pipe()
     os.close(read_end)
-    src = str(Path(cli.__file__).parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    env["PYTHONUNBUFFERED"] = unbuffered  # empty: block-buffered, as for any pipe
+    env = {**_child_env(), "PYTHONUNBUFFERED": unbuffered}  # empty: block-buffered, as for any pipe
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "exitgumbel.cli", *argv, "--output-dir", str(tmp_path)],
@@ -719,4 +728,18 @@ def test_closed_stdout_is_runtime_error_without_traceback(tmp_path, argv, report
         os.close(write_end)
     assert proc.returncode == 3
     assert proc.stderr == b""
-    assert (tmp_path / report).exists()
+    assert report is None or (tmp_path / report).exists()
+
+
+def _child_env() -> dict:
+    src = str(Path(cli.__file__).parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
+def test_cli_import_loads_no_pool():
+    # exitsim and evt load their executor modules only when workers > 1
+    code = "import sys, exitgumbel.cli; print(*sys.modules, sep='\\n')"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env(), timeout=120, check=True)
+    loaded = set(proc.stdout.decode().split())
+    assert "exitgumbel.cli" in loaded
+    assert not loaded & {"concurrent.futures.process", "concurrent.futures.thread", "multiprocessing"}

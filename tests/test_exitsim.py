@@ -132,17 +132,17 @@ class TestIntegrators:
     )
     def test_path_leaves_where_exact_sampler_exits(self, kw):
         # same substream, same normals, different chunk sizes: the path
-        # leaves (left, right) at the sampler's exit step and side
+        # leaves (-1, 1) at the sampler's exit step and side
         p = _problem(**kw)
         stream = RngStream(31)
         sides = set()
         for i in range(40):
             rec = simulate_exit_exact(p, stream.substream(i))
             x = simulate_path(p, stream.substream(i), rec.steps_taken)
-            outside = (x[1:] >= p.right) | (x[1:] <= p.left)
+            outside = (x[1:] >= 1.0) | (x[1:] <= -1.0)
             assert outside.any()
             assert int(np.argmax(outside)) + 1 == rec.steps_taken
-            assert ("right" if x[-1] >= p.right else "left") == rec.side
+            assert ("right" if x[-1] >= 1.0 else "left") == rec.side
             sides.add(rec.side)
         assert sides == {"left", "right"}
 
@@ -331,6 +331,16 @@ class TestConditionedSampling:
         parallel = sample_conditioned_exits(p, 30, RngStream(17), workers=2)
         assert serial == parallel
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_later_parallel_waves_match_serial(self, monkeypatch, workers):
+        # an overstated acceptance rate sizes the first wave at `workers`
+        # blocks, too few for n, so later waves must run
+        p, n = _problem(), 600
+        serial = sample_conditioned_exits(p, n, RngStream(17), workers=1)
+        assert serial.attempts > 3 * exitsim._BLOCK_ATTEMPTS
+        monkeypatch.setattr(exitsim, "right_exit_probability", lambda beta, a: 0.9)
+        assert sample_conditioned_exits(p, n, RngStream(17), workers=workers) == serial
+
     def test_nonpositive_workers_run_in_process(self):
         p = _problem()
         n = 200  # more right exits than one block of attempts holds
@@ -471,7 +481,7 @@ class TestBatchedKernel:
     def test_rejection_depth_bounds_wrong_rejection(self, beta):
         p = _problem(model=LinearDriftModel(beta))
         c = exitsim._rejection_depth(p)
-        assert c < -p.left / p.epsilon
+        assert c < 1.0 / p.epsilon
         assert math.log(2.0) + gaussian_log_tail(c * math.sqrt(2.0 * beta)) <= math.log(1e-15)
 
     def test_rejection_quantile_matches_delta(self):

@@ -89,7 +89,7 @@ class TestEmpiricalSample:
 
     def test_rejects_unsorted_or_empty(self):
         with pytest.raises(ValueError):
-            EmpiricalSample(values=np.array([2.0, 1.0]), count=2)
+            EmpiricalSample(values=np.array([2.0, 1.0]))
         with pytest.raises(ValueError):
             EmpiricalSample.from_values([])
         with pytest.raises(ValueError):
