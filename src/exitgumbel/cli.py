@@ -8,7 +8,8 @@ Each subcommand computes a report; `main` adds the fully resolved
 configuration, writes it as `<first word of the subcommand>_report.json`,
 prints it (identity-suite prints a table instead) and maps its `pass` to
 the exit code. Curve files are CSV (or JSON with --format json) with
-columns x, exact, limit, abs_error.
+columns x, exact, limit, abs_error; a curve command hands its curves to
+`_write_curves`, which formats an x or limit column its files share once.
 """
 from __future__ import annotations
 
@@ -47,13 +48,13 @@ from .exitsim import (
 )
 from .residual import scaled_residual, shifted_log_residual_cdf
 from .stats import (
-    FLOAT_FORMAT,
     EmpiricalSample,
     RngStream,
+    float_blocks,
     integrate_adaptive_simpson,
     ks_one_sample,
     ks_two_sample_critical,
-    write_csv,
+    write_float_csv,
     write_sample_csv,
 )
 
@@ -134,10 +135,11 @@ def _write_json(path: Path, payload: dict) -> None:
     path.write_text(_json(payload) + "\n")
 
 
-def _write_curve(path: Path, fmt: str, xs, exact, limit) -> float:
+def _write_curve(path: Path, fmt: str, xs, exact, limit, memo: dict) -> float:
     """Columns x, exact, limit, abs_error as `path`.csv or `path`.json;
     returns the sup distance max(abs_error). A non-finite value raises
-    NonFiniteResult before the file is opened."""
+    NonFiniteResult before the file is opened. The CSV's x and limit columns
+    are formatted on their first use in the command's `memo` (`_formatted`)."""
     exact = np.asarray(exact, dtype=float)
     limit = np.asarray(limit, dtype=float)
     columns = {
@@ -150,11 +152,29 @@ def _write_curve(path: Path, fmt: str, xs, exact, limit) -> float:
     if fmt == "json":
         _write_json(target, {name: column.tolist() for name, column in columns.items()})
     elif all(np.isfinite(column).all() for column in columns.values()):
-        template = ",".join(["%" + FLOAT_FORMAT] * len(columns))
-        write_csv(target, tuple(columns), template, zip(*columns.values()))
+        fields = (_formatted(memo, columns["x"]), exact, _formatted(memo, limit), columns["abs_error"])
+        write_float_csv(target, tuple(columns), fields)
     else:
         raise NonFiniteResult(f"curve {target.name} holds a non-finite value")
     return float(np.max(columns["abs_error"]))
+
+
+def _formatted(memo: dict, column: np.ndarray) -> list:
+    """`column`'s `float_blocks`, made on its first use. The memo is keyed by
+    the array's id and holds the array, so no id is reused while it lives."""
+    entry = memo.get(id(column))
+    if entry is None:
+        entry = memo[id(column)] = (column, float_blocks(column))
+    return entry[1]
+
+
+def _write_curves(out: Path, fmt: str, curves) -> list:
+    """Write each (file stem, xs, exact, limit) of a command's `curves` with
+    `_write_curve` into `out` and return their sup distances in order. The
+    curves may come from a generator, so each is computed just before it is
+    written; an x or limit array several curves share is formatted once."""
+    memo = {}
+    return [_write_curve(out / stem, fmt, xs, exact, limit, memo) for stem, xs, exact, limit in curves]
 
 
 def _curve_command(command):
@@ -252,10 +272,8 @@ def cmd_density_convergence(args) -> dict:
     out = Path(args.output_dir)
     xs = _grid(args)
     limit = gumbel_density(xs)
-    sups = {}
-    for r in args.r:
-        exact = shifted_log_residual_density(r, xs)
-        sups[r] = _write_curve(out / f"density_r{r:g}", args.format, xs, exact, limit)
+    curves = ((f"density_r{r:g}", xs, shifted_log_residual_density(r, xs), limit) for r in args.r)
+    sups = dict(zip(args.r, _write_curves(out, args.format, curves)))
     ordered = [sups[r] for r in sorted(args.r)]
     decreasing = _decreasing(ordered)
     return {
@@ -275,14 +293,15 @@ def cmd_evt(args) -> dict:
     xs = _grid(args)
     limit_counts = np.exp(-xs)
     limit_gumbel = gumbel_cdf(xs)
-    normalizers = {}
-    sups = {}
-    for n in args.n:
-        seq = solve_normalizers(model, n)
-        normalizers[n] = {"scale": seq.scale, "center": seq.center}
-        tails = model.tail(seq.scale * xs + seq.center)  # gnedenko_lhs is n*tails
-        _write_curve(out / f"exceedance_n{n}", args.format, xs, seq.n * tails, limit_counts)
-        sups[n] = _write_curve(out / f"maxcdf_n{n}", args.format, xs, max_cdf_of_tail(seq.n, tails), limit_gumbel)
+    seqs = {n: solve_normalizers(model, n) for n in args.n}
+
+    def curves():
+        for n, seq in seqs.items():
+            tails = model.tail(seq.scale * xs + seq.center)  # gnedenko_lhs is n*tails
+            yield f"exceedance_n{n}", xs, seq.n * tails, limit_counts
+            yield f"maxcdf_n{n}", xs, max_cdf_of_tail(seq.n, tails), limit_gumbel
+
+    sups = dict(zip(seqs, _write_curves(out, args.format, curves())[1::2]))
     decreasing = _decreasing([sups[n] for n in sorted(args.n)])
     passed = decreasing
 
@@ -292,7 +311,7 @@ def cmd_evt(args) -> dict:
         sample = sample_normalized_max(
             standard_gaussian_sampler, seq, args.replicas, RngStream(seed=args.seed), workers=args.workers
         )
-        ks = ks_one_sample(sample, lambda x: max_cdf(model, seq, x))
+        ks = ks_one_sample(sample, max_cdf(model, seq, sample.values))
         threshold = args.mc_ks_threshold
         if threshold is None:
             threshold = ks_two_sample_critical(args.replicas, args.replicas)
@@ -306,7 +325,7 @@ def cmd_evt(args) -> dict:
         passed = passed and mc_report["pass"]
 
     return {
-        "normalizers": {str(n): normalizers[n] for n in args.n},
+        "normalizers": {str(n): {"scale": seq.scale, "center": seq.center} for n, seq in seqs.items()},
         "max_cdf_sup_distance": {str(n): sups[n] for n in args.n},
         "strictly_decreasing_in_n": decreasing,
         "monte_carlo": mc_report,
@@ -326,14 +345,16 @@ def cmd_residual(args) -> dict:
         raise UsageError(f"--grid-max {args.grid_max} leaves no grid point >= 0 for the scaled residual")
     scaled_limit = np.exp(-xs_pos)
     gumbel = gumbel_cdf(xs)
-    sups_scaled = {}
-    sups_shifted = {}
-    for r in args.r:
-        name = f"{model.name}_r{r:g}"
-        scaled = scaled_residual(model, r, xs_pos)
-        sups_scaled[r] = _write_curve(out / f"residual_scaled_{name}", args.format, xs_pos, scaled, scaled_limit)
-        shifted = shifted_log_residual_cdf(model, r, xs)
-        sups_shifted[r] = _write_curve(out / f"residual_shifted_{name}", args.format, xs, shifted, gumbel)
+
+    def curves():
+        for r in args.r:
+            name = f"{model.name}_r{r:g}"
+            yield f"residual_scaled_{name}", xs_pos, scaled_residual(model, r, xs_pos), scaled_limit
+            yield f"residual_shifted_{name}", xs, shifted_log_residual_cdf(model, r, xs), gumbel
+
+    sups = _write_curves(out, args.format, curves())
+    sups_scaled = dict(zip(args.r, sups[0::2]))
+    sups_shifted = dict(zip(args.r, sups[1::2]))
 
     fixed_point_dev = _exponential_fixed_point_deviation()
     fixed_point_ok = fixed_point_dev <= _FIXED_POINT_TOL

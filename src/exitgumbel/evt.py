@@ -3,7 +3,6 @@ tail-count criterion curves, and Monte Carlo block maxima."""
 from __future__ import annotations
 
 import math
-from concurrent import futures
 from dataclasses import dataclass
 from typing import Callable
 
@@ -156,7 +155,9 @@ def sample_normalized_max(
 
     if workers <= 1:
         fill(0, replicas)
-    else:  # futures loads its thread pool module here, on first use
+    else:  # imported here: a serial run loads no executor modules
+        from concurrent import futures
+
         bounds = [replicas * k // workers for k in range(workers + 1)]
         with futures.ThreadPoolExecutor(max_workers=min(workers, replicas)) as pool:
             list(pool.map(fill, bounds[:-1], bounds[1:]))

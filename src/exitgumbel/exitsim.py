@@ -21,7 +21,6 @@ for epsilon under shared noise.
 from __future__ import annotations
 
 import math
-from concurrent import futures
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Optional
@@ -774,7 +773,9 @@ def sample_conditioned_exits(
 
     if workers <= 1:
         hits = collect(map, 1)
-    else:  # futures loads its process pool module here, on first use
+    else:  # imported here: a serial run loads no executor modules
+        from concurrent import futures
+
         estimate = int(math.ceil((n_accept + 4.0 * math.sqrt(n_accept) + 16.0) / p_limit))
         with futures.ProcessPoolExecutor(max_workers=workers) as pool:
             hits = collect(pool.map, max(workers, int(math.ceil(estimate / _BLOCK_ATTEMPTS))))

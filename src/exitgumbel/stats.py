@@ -29,7 +29,10 @@ __all__ = [
     "integrate_adaptive_simpson",
     "FLOAT_FORMAT",
     "SAMPLE_CSV_HEADER",
+    "CSV_BLOCK_ROWS",
+    "float_blocks",
     "write_csv",
+    "write_float_csv",
     "write_sample_csv",
     "read_sample_csv",
 ]
@@ -139,10 +142,12 @@ def _apply_cdf(cdf: Callable[[float], float], values: np.ndarray) -> np.ndarray:
     return np.asarray([cdf(float(v)) for v in values], dtype=float)
 
 
-def ks_one_sample(sample: EmpiricalSample, cdf: Callable[[float], float]) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a CDF callable."""
+def ks_one_sample(sample: EmpiricalSample, cdf: Callable[[float], float] | np.ndarray) -> float:
+    """One-sample Kolmogorov-Smirnov statistic against a CDF: a callable,
+    applied to each sample value, or the CDF's values at `sample.values`
+    (from one call of a CDF that takes an array)."""
     n = sample.count
-    f = _apply_cdf(cdf, sample.values)
+    f = _apply_cdf(cdf, sample.values) if callable(cdf) else np.asarray(cdf, dtype=float)
     i = np.arange(1, n + 1, dtype=float)
     d_plus = np.max(i / n - f)
     d_minus = np.max(f - (i - 1.0) / n)
@@ -226,6 +231,8 @@ def _simpson_rec(f, a, fa, m, fm, b, fb, whole, tol, depth, force):
 # CSV files of the package (exit samples, curves) are RFC-4180 (CRLF, header
 # row) with floats at 17 significant digits, so values round-trip bit-exactly.
 FLOAT_FORMAT = ".17g"
+# Rows per write of a float-column CSV, and per string of `float_blocks`.
+CSV_BLOCK_ROWS = 512
 SAMPLE_CSV_HEADER = ("attempt_index", "tau", "side", "normalized_time")
 
 
@@ -236,6 +243,32 @@ def write_csv(path: str | Path, header: Sequence[str], template: str, rows: Iter
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         fh.writelines(line % tuple(row) for row in rows)
+
+
+def float_blocks(column: np.ndarray) -> list[str]:
+    """A float column's FLOAT_FORMAT fields, comma-joined per block of
+    CSV_BLOCK_ROWS rows: a column several files share is formatted once and
+    kept as a few long strings, not a str per value."""
+    field = "%" + FLOAT_FORMAT
+    blocks = (column[start : start + CSV_BLOCK_ROWS].tolist() for start in range(0, column.size, CSV_BLOCK_ROWS))
+    return [",".join([field] * len(block)) % tuple(block) for block in blocks]
+
+
+def write_float_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
+    """Write equal-length float columns, each an array or its `float_blocks`
+    (at least one an array), as a header row and one row per value. Each
+    block of CSV_BLOCK_ROWS rows is one `%` of a repeated row template."""
+    size = next(column.size for column in columns if isinstance(column, np.ndarray))
+    width = len(columns)
+    row = ",".join("%s" if isinstance(column, list) else "%" + FLOAT_FORMAT for column in columns) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for block, start in enumerate(range(0, size, CSV_BLOCK_ROWS)):
+            stop = min(start + CSV_BLOCK_ROWS, size)
+            fields = [None] * (width * (stop - start))
+            for j, column in enumerate(columns):
+                fields[j::width] = column[block].split(",") if isinstance(column, list) else column[start:stop].tolist()
+            fh.write(row * (stop - start) % tuple(fields))
 
 
 def write_sample_csv(path: str | Path, rows: Iterable[Sequence]) -> None:

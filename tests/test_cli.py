@@ -737,9 +737,9 @@ def _child_env() -> dict:
 
 
 def test_cli_import_loads_no_pool():
-    # exitsim and evt load their executor modules only when workers > 1
+    # exitsim and evt import concurrent.futures only when workers > 1
     code = "import sys, exitgumbel.cli; print(*sys.modules, sep='\\n')"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env(), timeout=120, check=True)
     loaded = set(proc.stdout.decode().split())
     assert "exitgumbel.cli" in loaded
-    assert not loaded & {"concurrent.futures.process", "concurrent.futures.thread", "multiprocessing"}
+    assert not loaded & {"concurrent.futures", "concurrent.futures.process", "concurrent.futures.thread", "multiprocessing"}

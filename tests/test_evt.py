@@ -149,6 +149,15 @@ class TestNormalizedMaxSampling:
         b = sample_normalized_max(standard_gaussian_sampler, seq, 100, RngStream(3))
         assert np.array_equal(a.values, b.values)
 
+    @pytest.mark.parametrize("seed", [3, 9])
+    def test_ks_from_one_array_evaluation_equals_the_scalar_loop(self, seed):
+        # evt's cross-check evaluates max_cdf once over the sorted replicas
+        seq = solve_normalizers(GAUSS, 1000)
+        sample = sample_normalized_max(standard_gaussian_sampler, seq, 2000, RngStream(seed=seed))
+        per_value = ks_one_sample(sample, lambda x: max_cdf(GAUSS, seq, x))
+        one_call = ks_one_sample(sample, max_cdf(GAUSS, seq, sample.values))
+        assert one_call.hex() == per_value.hex()
+
     def test_matches_exact_finite_n_law(self):
         seq = solve_normalizers(GAUSS, 100)
         sample = sample_normalized_max(standard_gaussian_sampler, seq, 2000, RngStream(14))

@@ -1,6 +1,7 @@
 """Residual life tails, their scaling limit, and the log transform."""
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -91,6 +92,24 @@ class TestScaledResidual:
                 assert scaled_residual(EXP, r, float(x)) == pytest.approx(
                     math.exp(-x), rel=1e-13
                 )
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: r + a(r)*x is rounded to a double before tail_ratio sees it, an "
+        "argument error up to ulp(r)/2 and a relative error ~r*ulp(r)/2 in the ratio; a fix must pass "
+        "the increment a(r)*x to the tail ratio apart from r",
+    )
+    def test_relative_precision_at_large_thresholds(self):
+        # 60-digit tail(r + x/r)/tail(r). The code's relative errors at x = 1
+        # and 4: 1.5e-10 and 1.2e-9 at r = 1e5, 7.8e-3 at 1e7, 1.7 and 53.6 at
+        # 1e9, where r + x/r rounds to r and the ratio to 1
+        with mp.workdps(60):
+            for r in (1e5, 1e7, 1e9):
+                for x in (1.0, 4.0):
+                    R = mp.mpf(r)
+                    exact = mp.erfc((R + mp.mpf(x) / R) / mp.sqrt(2)) / mp.erfc(R / mp.sqrt(2))
+                    error = abs(mp.mpf(scaled_residual(GAUSS, r, x)) - exact) / exact
+                    assert error <= 1e-9, (r, x, float(error))
 
 
 class TestLogResidualCdf:
