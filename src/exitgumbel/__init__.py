@@ -3,7 +3,6 @@ Gaussian extremes, and residual life times, verified by a mix of Monte
 Carlo simulation and high-precision deterministic tail computation."""
 
 from .distributions import (
-    GridCurve,
     TailModel,
     exponential_tail_model,
     gaussian_cdf,
@@ -21,11 +20,9 @@ from .distributions import (
 from .errors import (
     BudgetExceeded,
     ExitGumbelError,
-    GridMismatch,
     GuardExceeded,
     NoBracket,
     NonFiniteResult,
-    ZeroTail,
 )
 from .evt import (
     NormalizingSequence,
@@ -56,16 +53,12 @@ from .exitsim import (
 )
 from .residual import (
     log_residual_cdf,
-    residual_tail,
     scaled_residual,
     shifted_log_residual_cdf,
-    staircase_scaling,
 )
 from .stats import (
     EmpiricalSample,
     RngStream,
-    ecdf,
-    grid_sup_distance,
     integrate_adaptive_simpson,
     ks_one_sample,
     ks_one_sample_critical,

@@ -2,14 +2,15 @@
 
 Exit codes: 0 all configured checks passed, 1 a check failed, 2 usage
 error (any parse failure: each flag's range is checked by its parser type
-before any work), 3 runtime error (budget/guard/tail failures, non-finite
-results, a ValueError from inside a command, a closed stdout).
+before any work), 3 runtime error (budget, guard or bracket failures,
+non-finite results, a ValueError from inside a command, a closed stdout).
 Each subcommand computes a report; `main` adds the fully resolved
 configuration, writes it as `<first word of the subcommand>_report.json`,
 prints it (identity-suite prints a table instead) and maps its `pass` to
 the exit code. Curve files are CSV (or JSON with --format json) with
 columns x, exact, limit, abs_error; a curve command hands its curves to
 `_write_curves`, which formats an x or limit column its files share once.
+A repeated threshold or block size is one curve.
 """
 from __future__ import annotations
 
@@ -272,12 +273,13 @@ def cmd_density_convergence(args) -> dict:
     out = Path(args.output_dir)
     xs = _grid(args)
     limit = gumbel_density(xs)
-    curves = ((f"density_r{r:g}", xs, shifted_log_residual_density(r, xs), limit) for r in args.r)
-    sups = dict(zip(args.r, _write_curves(out, args.format, curves)))
-    ordered = [sups[r] for r in sorted(args.r)]
+    rs = list(dict.fromkeys(args.r))
+    curves = ((f"density_r{r:g}", xs, shifted_log_residual_density(r, xs), limit) for r in rs)
+    sups = dict(zip(rs, _write_curves(out, args.format, curves)))
+    ordered = [sups[r] for r in sorted(sups)]
     decreasing = _decreasing(ordered)
     return {
-        "sup_distance": {f"{r:g}": sups[r] for r in args.r},
+        "sup_distance": {f"{r:g}": sups[r] for r in rs},
         "strictly_decreasing_in_r": decreasing,
         "tolerance_at_largest_r": args.tolerance,
         "pass": decreasing and ordered[-1] <= args.tolerance,
@@ -293,7 +295,7 @@ def cmd_evt(args) -> dict:
     xs = _grid(args)
     limit_counts = np.exp(-xs)
     limit_gumbel = gumbel_cdf(xs)
-    seqs = {n: solve_normalizers(model, n) for n in args.n}
+    seqs = {n: solve_normalizers(model, n) for n in dict.fromkeys(args.n)}
 
     def curves():
         for n, seq in seqs.items():
@@ -302,7 +304,7 @@ def cmd_evt(args) -> dict:
             yield f"maxcdf_n{n}", xs, max_cdf_of_tail(seq.n, tails), limit_gumbel
 
     sups = dict(zip(seqs, _write_curves(out, args.format, curves())[1::2]))
-    decreasing = _decreasing([sups[n] for n in sorted(args.n)])
+    decreasing = _decreasing([sups[n] for n in sorted(sups)])
     passed = decreasing
 
     mc_report = None
@@ -326,7 +328,7 @@ def cmd_evt(args) -> dict:
 
     return {
         "normalizers": {str(n): {"scale": seq.scale, "center": seq.center} for n, seq in seqs.items()},
-        "max_cdf_sup_distance": {str(n): sups[n] for n in args.n},
+        "max_cdf_sup_distance": {str(n): sups[n] for n in seqs},
         "strictly_decreasing_in_n": decreasing,
         "monte_carlo": mc_report,
         "pass": passed,
@@ -345,16 +347,17 @@ def cmd_residual(args) -> dict:
         raise UsageError(f"--grid-max {args.grid_max} leaves no grid point >= 0 for the scaled residual")
     scaled_limit = np.exp(-xs_pos)
     gumbel = gumbel_cdf(xs)
+    rs = list(dict.fromkeys(args.r))
 
     def curves():
-        for r in args.r:
+        for r in rs:
             name = f"{model.name}_r{r:g}"
             yield f"residual_scaled_{name}", xs_pos, scaled_residual(model, r, xs_pos), scaled_limit
             yield f"residual_shifted_{name}", xs, shifted_log_residual_cdf(model, r, xs), gumbel
 
     sups = _write_curves(out, args.format, curves())
-    sups_scaled = dict(zip(args.r, sups[0::2]))
-    sups_shifted = dict(zip(args.r, sups[1::2]))
+    sups_scaled = dict(zip(rs, sups[0::2]))
+    sups_shifted = dict(zip(rs, sups[1::2]))
 
     fixed_point_dev = _exponential_fixed_point_deviation()
     fixed_point_ok = fixed_point_dev <= _FIXED_POINT_TOL
@@ -362,7 +365,7 @@ def cmd_residual(args) -> dict:
     # A distance at or below the fixed-point tolerance is roundoff: the curve
     # has converged and need not shrink further as r grows.
     largest = max(args.r)
-    decreasing = _decreasing([sups_shifted[r] for r in sorted(args.r)], _FIXED_POINT_TOL)
+    decreasing = _decreasing([sups_shifted[r] for r in sorted(rs)], _FIXED_POINT_TOL)
     passed = (
         decreasing
         and sups_shifted[largest] <= args.tolerance
@@ -370,8 +373,8 @@ def cmd_residual(args) -> dict:
         and fixed_point_ok
     )
     return {
-        "scaled_sup_distance": {f"{r:g}": sups_scaled[r] for r in args.r},
-        "shifted_cdf_sup_distance": {f"{r:g}": sups_shifted[r] for r in args.r},
+        "scaled_sup_distance": {f"{r:g}": sups_scaled[r] for r in rs},
+        "shifted_cdf_sup_distance": {f"{r:g}": sups_shifted[r] for r in rs},
         "strictly_decreasing_in_r": decreasing,
         "exponential_fixed_point_deviation": fixed_point_dev,
         "exponential_fixed_point_ok": fixed_point_ok,

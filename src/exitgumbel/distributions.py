@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
-from .errors import NonFiniteResult, ZeroTail
+from .errors import NonFiniteResult
 
 __all__ = [
-    "GridCurve",
     "TailModel",
     "gumbel_cdf",
     "gumbel_density",
@@ -187,10 +186,6 @@ def _gaussian_scaling(r: float) -> float:
     return 1.0 / r
 
 
-def _exponential_cdf(x):
-    return _where(x > 0.0, x, lambda x: -_each(math.expm1, -x), lambda x: 0.0)
-
-
 def _exponential_tail(x):
     return _where(x > 0.0, x, lambda x: _each(math.exp, -x), lambda x: 1.0)
 
@@ -203,37 +198,30 @@ def _exponential_log_tail(x):
 class TailModel:
     """A distribution seen through its tail.
 
-    Bundles a CDF, a directly computed upper tail (never 1 - cdf), the
-    residual scaling function a(r) that flattens the tail into exp(-x),
-    and optionally an exact log-tail for deep-tail work. The built-in
-    models' cdf, tail and log_tail take a float or a 1-d array.
+    Bundles a directly computed upper tail (never 1 - cdf), its exact
+    logarithm for deep-tail work, and the residual scaling function a(r)
+    that flattens the tail into exp(-x). The built-in models' tail and
+    log_tail take a float or a 1-d array.
     """
 
     name: str
-    cdf: Callable[[float], float]
     tail: Callable[[float], float]
+    log_tail: Callable[[float], float]
     scaling_a: Callable[[float], float]
-    log_tail: Optional[Callable[[float], float]] = None
 
     def tail_ratio(self, numerator_at, denominator_at: float):
-        """tail(numerator_at)/tail(denominator_at), in log space when possible;
-        `numerator_at` may be an array."""
-        if self.log_tail is not None:
-            return _each(math.exp, self.log_tail(numerator_at) - self.log_tail(denominator_at))
-        denom = self.tail(denominator_at)
-        if denom <= 0.0:
-            raise ZeroTail(f"{self.name} tail underflowed at {denominator_at}")
-        return self.tail(numerator_at) / denom
+        """tail(numerator_at)/tail(denominator_at) in log space; `numerator_at`
+        may be an array."""
+        return _each(math.exp, self.log_tail(numerator_at) - self.log_tail(denominator_at))
 
 
 def gaussian_tail_model() -> TailModel:
     """Standard Gaussian with scaling a(r) = 1/r."""
     return TailModel(
         name="gaussian",
-        cdf=gaussian_cdf,
         tail=gaussian_tail,
-        scaling_a=_gaussian_scaling,
         log_tail=gaussian_log_tail,
+        scaling_a=_gaussian_scaling,
     )
 
 
@@ -241,33 +229,8 @@ def exponential_tail_model() -> TailModel:
     """Unit exponential: the memoryless fixed point, scaling a(r) = 1."""
     return TailModel(
         name="exponential",
-        cdf=_exponential_cdf,
         tail=_exponential_tail,
-        scaling_a=lambda r: 1.0,
         log_tail=_exponential_log_tail,
+        scaling_a=lambda r: 1.0,
     )
 
-
-@dataclass(frozen=True)
-class GridCurve:
-    """A function sampled on a strictly increasing finite grid."""
-
-    xs: np.ndarray
-    ys: np.ndarray
-
-    def __post_init__(self) -> None:
-        xs = np.asarray(self.xs, dtype=float)
-        ys = np.asarray(self.ys, dtype=float)
-        if xs.ndim != 1 or ys.ndim != 1 or xs.size != ys.size:
-            raise ValueError("xs and ys must be 1-d arrays of equal length")
-        if xs.size == 0:
-            raise ValueError("empty grid")
-        if not (np.all(np.isfinite(xs)) and np.all(np.isfinite(ys))):
-            raise ValueError("grid values must be finite")
-        if xs.size > 1 and not np.all(np.diff(xs) > 0):
-            raise ValueError("xs must be strictly increasing")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
-
-    def __len__(self) -> int:
-        return int(self.xs.size)

@@ -25,13 +25,5 @@ class NoBracket(ExitGumbelError):
     """A root was not bracketed on the search interval."""
 
 
-class ZeroTail(ExitGumbelError):
-    """A tail value underflowed to zero where a positive value is required."""
-
-
-class GridMismatch(ExitGumbelError):
-    """Two grid curves do not share the same abscissae."""
-
-
 class NonFiniteResult(ExitGumbelError):
     """A computed value meant for a JSON report is NaN or infinite."""

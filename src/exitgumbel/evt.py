@@ -47,13 +47,6 @@ class NormalizingSequence:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
 
 
-def _log_tail(model: TailModel, x: float) -> float:
-    if model.log_tail is not None:
-        return model.log_tail(x)
-    t = model.tail(x)
-    return math.log(t) if t > 0.0 else -math.inf
-
-
 def solve_normalizers(model: TailModel, n: int) -> NormalizingSequence:
     """Solve tail(center) = 1/n on [0, 50] to ~1e-13 relative in tail space.
 
@@ -67,8 +60,8 @@ def solve_normalizers(model: TailModel, n: int) -> NormalizingSequence:
         raise ValueError(f"n must be >= 3, got {n}")
     target = -math.log(n)
     lo, hi = 0.0, _BRACKET_HIGH
-    f_lo = _log_tail(model, lo) - target
-    f_hi = _log_tail(model, hi) - target
+    f_lo = model.log_tail(lo) - target
+    f_hi = model.log_tail(hi) - target
     if f_lo < 0.0:
         raise NoBracket(f"tail(0) is already below 1/{n}")
     if f_hi > 0.0:
@@ -76,14 +69,14 @@ def solve_normalizers(model: TailModel, n: int) -> NormalizingSequence:
 
     while hi - lo > _BISECT_WIDTH:
         mid = 0.5 * (lo + hi)
-        if _log_tail(model, mid) - target >= 0.0:
+        if model.log_tail(mid) - target >= 0.0:
             lo = mid
         else:
             hi = mid
 
     b = 0.5 * (lo + hi)
     for _ in range(40):
-        f = _log_tail(model, b) - target
+        f = model.log_tail(b) - target
         if abs(f) <= _LOG_TAIL_TOL:
             break
         if f >= 0.0:
@@ -91,7 +84,7 @@ def solve_normalizers(model: TailModel, n: int) -> NormalizingSequence:
         else:
             hi = min(hi, b)
         db = 1e-6 * max(1.0, abs(b))
-        slope = (_log_tail(model, b + db) - _log_tail(model, b - db)) / (2.0 * db)
+        slope = (model.log_tail(b + db) - model.log_tail(b - db)) / (2.0 * db)
         step = f / slope if slope != 0.0 else 0.0
         candidate = b - step
         if not (lo < candidate < hi):

@@ -11,23 +11,12 @@ from __future__ import annotations
 import math
 
 from .distributions import TailModel, _each, _where
-from .errors import ZeroTail
-from .evt import solve_normalizers
 
 __all__ = [
-    "residual_tail",
     "scaled_residual",
     "log_residual_cdf",
     "shifted_log_residual_cdf",
-    "staircase_scaling",
 ]
-
-
-def residual_tail(model: TailModel, r: float, x: float) -> float:
-    """P{X - r > x | X > r} = tail(r+x)/tail(r); equals 1 at x = 0."""
-    if x < 0.0:
-        raise ValueError(f"residual life is defined for x >= 0, got {x}")
-    return model.tail_ratio(r + x, r)
 
 
 def scaled_residual(model: TailModel, r: float, x):
@@ -51,17 +40,3 @@ def shifted_log_residual_cdf(model: TailModel, r: float, x):
     """
     return log_residual_cdf(model, r, x - math.log(model.scaling_a(r)))
 
-
-def staircase_scaling(model: TailModel, r: float) -> float:
-    """Piecewise-constant scaling built from the max-normalizers: the scale
-    of the n-block normalization for the n with 1/(n+1) <= tail(r) < 1/n.
-
-    Diagnostic construction; for the Gaussian it tracks 1/r.
-    """
-    t = model.tail(r)
-    if t <= 0.0:
-        raise ZeroTail(f"{model.name} tail underflowed at threshold {r}")
-    n = int(math.floor(1.0 / t))
-    if n < 3:
-        raise ValueError(f"threshold {r} is too low: tail(r) = {t:.3g} gives n = {n} < 3")
-    return solve_normalizers(model, n).scale

@@ -13,25 +13,19 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .distributions import GridCurve
-from .errors import GridMismatch
-
 __all__ = [
     "RngStream",
     "EmpiricalSample",
     "as_generator",
-    "ecdf",
     "ks_one_sample",
     "ks_two_sample",
     "ks_one_sample_critical",
     "ks_two_sample_critical",
-    "grid_sup_distance",
     "integrate_adaptive_simpson",
     "FLOAT_FORMAT",
     "SAMPLE_CSV_HEADER",
     "CSV_BLOCK_ROWS",
     "float_blocks",
-    "write_csv",
     "write_float_csv",
     "write_sample_csv",
     "read_sample_csv",
@@ -132,12 +126,6 @@ class EmpiricalSample:
         return cls(values=arr)
 
 
-def ecdf(sample: EmpiricalSample, x):
-    """Right-continuous empirical CDF: fraction of values <= x."""
-    counts = np.searchsorted(sample.values, x, side="right")
-    return counts / sample.count
-
-
 def _apply_cdf(cdf: Callable[[float], float], values: np.ndarray) -> np.ndarray:
     return np.asarray([cdf(float(v)) for v in values], dtype=float)
 
@@ -145,9 +133,11 @@ def _apply_cdf(cdf: Callable[[float], float], values: np.ndarray) -> np.ndarray:
 def ks_one_sample(sample: EmpiricalSample, cdf: Callable[[float], float] | np.ndarray) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a CDF: a callable,
     applied to each sample value, or the CDF's values at `sample.values`
-    (from one call of a CDF that takes an array)."""
+    (from one call of a CDF that takes an array), one per value."""
     n = sample.count
     f = _apply_cdf(cdf, sample.values) if callable(cdf) else np.asarray(cdf, dtype=float)
+    if f.shape != sample.values.shape:
+        raise ValueError(f"CDF values have shape {f.shape}, the sample {sample.values.shape}")
     i = np.arange(1, n + 1, dtype=float)
     d_plus = np.max(i / n - f)
     d_minus = np.max(f - (i - 1.0) / n)
@@ -172,13 +162,6 @@ def ks_one_sample_critical(n: int, coefficient: float = 1.63) -> float:
 def ks_two_sample_critical(n: int, m: int, coefficient: float = 1.36) -> float:
     """Two-sample critical value c*sqrt((n+m)/(n*m)); default c is the 5% point."""
     return coefficient * math.sqrt((n + m) / (n * m))
-
-
-def grid_sup_distance(c1: GridCurve, c2: GridCurve) -> float:
-    """Sup-norm distance between two curves sampled on the identical grid."""
-    if c1.xs.size != c2.xs.size or not np.array_equal(c1.xs, c2.xs):
-        raise GridMismatch("curves are not sampled on the same grid")
-    return float(np.max(np.abs(c1.ys - c2.ys)))
 
 
 def _simpson(f, a, fa, b, fb):
@@ -236,15 +219,6 @@ CSV_BLOCK_ROWS = 512
 SAMPLE_CSV_HEADER = ("attempt_index", "tau", "side", "normalized_time")
 
 
-def write_csv(path: str | Path, header: Sequence[str], template: str, rows: Iterable[Sequence]) -> None:
-    """Write a header row, then `template % row` for each row. Fields are
-    numbers and bare words, so none needs quoting."""
-    line = template + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(header) + "\r\n")
-        fh.writelines(line % tuple(row) for row in rows)
-
-
 def float_blocks(column: np.ndarray) -> list[str]:
     """A float column's FLOAT_FORMAT fields, comma-joined per block of
     CSV_BLOCK_ROWS rows: a column several files share is formatted once and
@@ -272,10 +246,13 @@ def write_float_csv(path: str | Path, header: Sequence[str], columns: Sequence) 
 
 
 def write_sample_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
-    """Write (attempt_index, tau, side, normalized_time) rows."""
+    """Write (attempt_index, tau, side, normalized_time) rows under a header
+    row. Fields are numbers and bare words, so none needs quoting."""
     float_field = "%" + FLOAT_FORMAT
-    template = ",".join(("%d", float_field, "%s", float_field))
-    write_csv(path, SAMPLE_CSV_HEADER, template, rows)
+    line = ",".join(("%d", float_field, "%s", float_field)) + "\r\n"
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(SAMPLE_CSV_HEADER) + "\r\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def read_sample_csv(path: str | Path) -> list[tuple[int, float, str, float]]:

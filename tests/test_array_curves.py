@@ -70,7 +70,7 @@ def assert_bitwise(fn, xs):
 @given(rs=radii)
 @example(rs=SWITCH)
 def test_gaussian_tail_functions(rs):
-    for fn in (gaussian_tail, gaussian_log_tail, gaussian_pdf, gaussian_cdf, GAUSS.tail, GAUSS.log_tail, GAUSS.cdf):
+    for fn in (gaussian_tail, gaussian_log_tail, gaussian_pdf, gaussian_cdf, GAUSS.tail, GAUSS.log_tail):
         assert_bitwise(fn, rs)
 
 
@@ -78,7 +78,7 @@ def test_gaussian_tail_functions(rs):
 @given(xs=points)
 @example(xs=[-0.0, 0.0, 5e-324, -5e-324])
 def test_exponential_model(xs):
-    for fn in (EXP.tail, EXP.log_tail, EXP.cdf):
+    for fn in (EXP.tail, EXP.log_tail):
         assert_bitwise(fn, xs)
 
 

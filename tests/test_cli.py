@@ -47,6 +47,18 @@ def _stdout_json(capsys):
     return _strict(capsys.readouterr().out)
 
 
+def _spy_curve_stems(monkeypatch) -> list:
+    """The file stems `cli._write_curve` is called with, in order."""
+    stems, write = [], cli._write_curve
+
+    def spy(path, *args):
+        stems.append(path.name)
+        return write(path, *args)
+
+    monkeypatch.setattr(cli, "_write_curve", spy)
+    return stems
+
+
 class TestIdentitySuite:
     def test_passes(self, tmp_path, capsys):
         code = main(["identity-suite", "--output-dir", str(tmp_path)])
@@ -116,6 +128,15 @@ class TestDensityConvergence:
         assert set(curve) == {"x", "exact", "limit", "abs_error"}
         assert len(curve["x"]) == len(curve["exact"]) == 61
 
+    def test_repeated_threshold_counts_once(self, tmp_path, capsys, monkeypatch):
+        stems = _spy_curve_stems(monkeypatch)
+        code = main(["density-convergence", "--r", "20", "40", "40", "--grid-step", "0.01", "--output-dir", str(tmp_path)])
+        report = _stdout_json(capsys)
+        assert code == 0
+        assert report["strictly_decreasing_in_r"] is True
+        assert list(report["sup_distance"]) == ["20", "40"]
+        assert stems == ["density_r20", "density_r40"]
+
     def test_missing_r_is_usage_error(self, tmp_path):
         assert main(["density-convergence", "--output-dir", str(tmp_path)]) == 2
 
@@ -172,6 +193,15 @@ class TestEvtCommand:
         assert float(report["normalizers"]["1000000"]["center"]) == pytest.approx(
             4.7534243088229, rel=1e-12
         )
+
+    def test_repeated_block_size_counts_once(self, tmp_path, capsys, monkeypatch):
+        stems = _spy_curve_stems(monkeypatch)
+        code = main(["evt", "--n", "1000", "1000", "--grid-step", "0.1", "--output-dir", str(tmp_path)])
+        report = _stdout_json(capsys)
+        assert code == 0
+        assert report["strictly_decreasing_in_n"] is True
+        assert list(report["max_cdf_sup_distance"]) == ["1000"]
+        assert stems == ["exceedance_n1000", "maxcdf_n1000"]
 
     def test_monte_carlo_block(self, tmp_path, capsys):
         code = main(
@@ -264,12 +294,24 @@ class TestResidualCommand:
         assert report["strictly_decreasing_in_r"] is True
         assert max(report["shifted_cdf_sup_distance"].values()) <= 1e-13
 
-    def test_nondecreasing_sups_above_tolerance_fail(self, tmp_path, capsys):
-        code = main(["residual", "--r", "20", "20", "--grid-step", "0.1", "--output-dir", str(tmp_path)])
+    def test_nondecreasing_sups_above_tolerance_fail(self, tmp_path, capsys, monkeypatch):
+        # the Gaussian sups decrease in r, so both thresholds get the r = 20 curve
+        at_20 = cli.shifted_log_residual_cdf
+        monkeypatch.setattr(cli, "shifted_log_residual_cdf", lambda model, r, x: at_20(model, 20.0, x))
+        code = main(["residual", "--r", "20", "40", "--grid-step", "0.1", "--output-dir", str(tmp_path)])
         report = _stdout_json(capsys)
         assert code == 1
         assert report["strictly_decreasing_in_r"] is False
-        assert report["shifted_cdf_sup_distance"]["20"] > 1e-13
+        assert report["shifted_cdf_sup_distance"]["40"] == report["shifted_cdf_sup_distance"]["20"] > 1e-13
+
+    def test_repeated_threshold_counts_once(self, tmp_path, capsys, monkeypatch):
+        stems = _spy_curve_stems(monkeypatch)
+        code = main(["residual", "--r", "20", "20", "--grid-step", "0.1", "--output-dir", str(tmp_path)])
+        report = _stdout_json(capsys)
+        assert code == 0
+        assert report["strictly_decreasing_in_r"] is True
+        assert list(report["shifted_cdf_sup_distance"]) == ["20"]
+        assert stems == ["residual_scaled_gaussian_r20", "residual_shifted_gaussian_r20"]
 
 
     def test_overflowing_r_is_runtime_error_never_nan(self, tmp_path, capsys):

@@ -11,7 +11,6 @@ import numpy as np
 import pytest
 
 from exitgumbel import (
-    GridCurve,
     NonFiniteResult,
     exponential_tail_model,
     gaussian_cdf,
@@ -209,7 +208,6 @@ class TestTailModels:
         g = gaussian_tail_model()
         assert g.name == "gaussian"
         assert g.tail(1.0) == gaussian_tail(1.0)
-        assert g.cdf(1.0) == gaussian_cdf(1.0)
         assert g.scaling_a(4.0) == pytest.approx(0.25, rel=1e-15)
         with pytest.raises(ValueError):
             g.scaling_a(0.0)
@@ -223,7 +221,6 @@ class TestTailModels:
         assert e.tail(0.0) == 1.0
         assert e.tail(-3.0) == 1.0
         assert e.tail(2.0) == pytest.approx(math.exp(-2.0), rel=1e-15)
-        assert e.cdf(2.0) + e.tail(2.0) == pytest.approx(1.0, rel=1e-15)
         assert e.scaling_a(7.0) == 1.0
         assert e.log_tail(3.0) == -3.0
 
@@ -242,18 +239,3 @@ class TestTailModels:
             vals = [model.tail(float(x)) for x in xs]
             assert all(b <= a for a, b in zip(vals, vals[1:]))
 
-
-class TestGridCurve:
-    def test_accepts_valid(self):
-        c = GridCurve(xs=[0.0, 1.0, 2.0], ys=[5.0, 4.0, 3.0])
-        assert len(c) == 3
-
-    def test_rejects_bad_grids(self):
-        with pytest.raises(ValueError):
-            GridCurve(xs=[0.0, 0.0, 1.0], ys=[1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            GridCurve(xs=[0.0, 1.0], ys=[1.0, 2.0, 3.0])
-        with pytest.raises(ValueError):
-            GridCurve(xs=[0.0, np.inf], ys=[1.0, 2.0])
-        with pytest.raises(ValueError):
-            GridCurve(xs=[], ys=[])

@@ -8,17 +8,13 @@ import pytest
 from exitgumbel import (
     EmpiricalSample,
     RngStream,
-    TailModel,
-    ZeroTail,
     exponential_tail_model,
     gaussian_tail_model,
     gumbel_cdf,
     ks_one_sample,
     log_residual_cdf,
-    residual_tail,
     scaled_residual,
     shifted_log_residual_cdf,
-    staircase_scaling,
     truncated_gaussian,
 )
 
@@ -30,45 +26,27 @@ class TestResidualTail:
     def test_one_at_zero(self):
         for model in (GAUSS, EXP):
             for r in (0.0, 1.0, 10.0):
-                assert residual_tail(model, r, 0.0) == 1.0
+                assert model.tail_ratio(r + 0.0, r) == 1.0
 
     def test_memoryless_exponential(self):
         for r in (0.0, 1.0, 25.0):
             for x in (0.1, 1.0, 4.0):
-                assert residual_tail(EXP, r, x) == pytest.approx(math.exp(-x), rel=1e-13)
+                assert EXP.tail_ratio(r + x, r) == pytest.approx(math.exp(-x), rel=1e-13)
 
     def test_gaussian_frozen_value(self):
         # mpmath: tail(3.5)/tail(3)
-        assert residual_tail(GAUSS, 3.0, 0.5) == pytest.approx(0.17233085283827657439, rel=1e-12)
+        assert GAUSS.tail_ratio(3.0 + 0.5, 3.0) == pytest.approx(0.17233085283827657439, rel=1e-12)
 
     def test_valid_tail_function(self):
         xs = np.linspace(0.0, 10.0, 101)
-        vals = [residual_tail(GAUSS, 2.0, float(x)) for x in xs]
+        vals = [GAUSS.tail_ratio(2.0 + float(x), 2.0) for x in xs]
         assert vals[0] == 1.0
         assert all(b <= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-10
 
-    def test_negative_x_rejected(self):
-        with pytest.raises(ValueError):
-            residual_tail(GAUSS, 1.0, -0.1)
-
-    def test_zero_tail_raises_without_log_tail(self):
-        dead = TailModel(
-            name="dead",
-            cdf=lambda x: 1.0,
-            tail=lambda x: 0.0,
-            scaling_a=lambda r: 1.0,
-        )
-        with pytest.raises(ZeroTail):
-            residual_tail(dead, 1.0, 1.0)
-        with pytest.raises(ZeroTail):
-            scaled_residual(dead, 1.0, 1.0)
-        with pytest.raises(ZeroTail):
-            log_residual_cdf(dead, 1.0, 1.0)
-
     def test_deep_threshold_works_in_log_space(self):
         # linear-space tails underflow past ~37.6; log-tail route must not
-        v = residual_tail(GAUSS, 40.0, 0.1)
+        v = GAUSS.tail_ratio(40.0 + 0.1, 40.0)
         assert v == pytest.approx(math.exp(-40.0 * 0.1 - 0.005) / (1.0 + 0.1 / 40.0), rel=1e-2)
 
 
@@ -175,20 +153,3 @@ class TestShiftedLogResidualCdf:
             vals = [shifted_log_residual_cdf(GAUSS, r, float(x)) for x in xs]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
-
-class TestStaircaseScaling:
-    def test_tracks_reciprocal_threshold(self):
-        for r in (3.0, 4.5, 6.0):
-            a = staircase_scaling(GAUSS, r)
-            assert abs(a * r - 1.0) <= 0.25
-
-    def test_low_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            staircase_scaling(GAUSS, 0.0)
-
-    def test_underflowed_tail_raises(self):
-        dead = TailModel(
-            name="dead", cdf=lambda x: 1.0, tail=lambda x: 0.0, scaling_a=lambda r: 1.0
-        )
-        with pytest.raises(ZeroTail):
-            staircase_scaling(dead, 5.0)

@@ -7,12 +7,8 @@ import pytest
 
 from exitgumbel import (
     EmpiricalSample,
-    GridCurve,
-    GridMismatch,
     RngStream,
-    ecdf,
     gaussian_pdf,
-    grid_sup_distance,
     integrate_adaptive_simpson,
     ks_one_sample,
     ks_one_sample_critical,
@@ -95,27 +91,6 @@ class TestEmpiricalSample:
         with pytest.raises(ValueError):
             EmpiricalSample.from_values([np.nan, 1.0])
 
-    def test_ecdf_boundaries(self):
-        s = EmpiricalSample.from_values([1.0, 2.0, 3.0, 4.0])
-        assert ecdf(s, 0.5) == 0.0
-        assert ecdf(s, 4.0) == 1.0
-        assert ecdf(s, 2.0) == 0.5
-
-    def test_ecdf_single_value(self):
-        s = EmpiricalSample.from_values([7.0])
-        assert ecdf(s, 7.0) == 1.0
-        assert ecdf(s, 7.0 - 1e-9) == 0.0
-
-    def test_ecdf_right_continuous_and_monotone(self):
-        gen = RngStream(seed=2).generator()
-        s = EmpiricalSample.from_values(gen.standard_normal(200))
-        xs = np.sort(np.concatenate([s.values, gen.uniform(-3, 3, 200)]))
-        vals = ecdf(s, xs)
-        assert np.all(np.diff(vals) >= 0)
-        for v in s.values[:20]:
-            assert ecdf(s, v) > ecdf(s, v - 1e-12)
-
-
 class TestKsOneSample:
     def test_constant_cdf(self):
         s = EmpiricalSample.from_values([0.1, 0.2, 0.3])
@@ -145,6 +120,13 @@ class TestKsOneSample:
 
         assert ks_one_sample(s, cdf) == pytest.approx(ks_one_sample(t, cdf_cubed), abs=1e-12)
 
+    @pytest.mark.parametrize("cdf", [0.5, np.array([0.5]), np.full((100, 1), 0.5)])
+    def test_cdf_values_of_another_shape_rejected(self, cdf):
+        # each of these broadcasts against 100 values without an error
+        s = EmpiricalSample.from_values(np.linspace(0.0, 1.0, 100))
+        with pytest.raises(ValueError, match="shape"):
+            ks_one_sample(s, cdf)
+
 
 class TestKsTwoSample:
     def test_identical_samples(self):
@@ -167,30 +149,6 @@ class TestKsTwoSample:
         s1 = EmpiricalSample.from_values(gen.standard_normal(100))
         s2 = EmpiricalSample.from_values(gen.standard_normal(150) + 0.3)
         assert ks_two_sample(s1, s2) == ks_two_sample(s2, s1)
-
-
-class TestGridSupDistance:
-    def test_identical_and_shifted(self):
-        xs = np.linspace(0.0, 1.0, 11)
-        c1 = GridCurve(xs=xs, ys=np.sin(xs))
-        assert grid_sup_distance(c1, c1) == 0.0
-        c2 = GridCurve(xs=xs, ys=np.sin(xs) + 0.25)
-        assert grid_sup_distance(c1, c2) == pytest.approx(0.25, rel=1e-15)
-
-    def test_against_brute_force(self):
-        gen = RngStream(seed=3).generator()
-        xs = np.sort(gen.uniform(0.0, 10.0, 50))
-        xs += np.arange(50) * 1e-9  # ensure strict increase
-        y1, y2 = gen.standard_normal(50), gen.standard_normal(50)
-        c1, c2 = GridCurve(xs=xs, ys=y1), GridCurve(xs=xs, ys=y2)
-        brute = max(abs(a - b) for a, b in zip(y1, y2))
-        assert grid_sup_distance(c1, c2) == pytest.approx(brute, rel=1e-15)
-
-    def test_mismatch_raises(self):
-        c1 = GridCurve(xs=[0.0, 1.0], ys=[0.0, 1.0])
-        c2 = GridCurve(xs=[0.0, 2.0], ys=[0.0, 1.0])
-        with pytest.raises(GridMismatch):
-            grid_sup_distance(c1, c2)
 
 
 class TestAdaptiveSimpson:
