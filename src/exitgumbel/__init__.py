@@ -30,7 +30,6 @@ from .evt import (
     max_cdf,
     sample_normalized_max,
     solve_normalizers,
-    standard_gaussian_sampler,
 )
 from .exitsim import (
     ConditionedSample,

@@ -38,7 +38,7 @@ from .distributions import (
     shifted_log_residual_density,
 )
 from .errors import ExitGumbelError, NonFiniteResult
-from .evt import max_cdf, max_cdf_of_tail, sample_normalized_max, solve_normalizers, standard_gaussian_sampler
+from .evt import max_cdf, max_cdf_of_tail, sample_normalized_max, solve_normalizers
 from .exitsim import (
     MAX_STEP,
     ExitProblem,
@@ -114,6 +114,21 @@ _NONNEGATIVE = _checked(float, "a finite number >= 0", lambda v: v >= 0.0 and ma
 _STEP = _checked(float, f"in (0, {MAX_STEP:g}]", lambda v: 0.0 < v <= MAX_STEP)
 _WORKERS = _checked(lambda text: max(1, min(int(text), os.cpu_count() or 1)), "an integer", lambda v: True)
 _SEED = _checked(int, f"an integer in [0, 2^64) (--seed or {SEED_ENV_VAR})", lambda v: 0 <= v < 2**64)
+
+
+class _Thresholds(argparse.Action):
+    """Stores --r, refusing two distinct thresholds that print alike: `:g`
+    names each threshold's curve files and report keys, so the second
+    would overwrite the first. A repeated value passes; commands count it
+    once."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        seen = {}
+        for r in values:
+            first = seen.setdefault(f"{r:g}", r)
+            if first != r:
+                raise argparse.ArgumentError(self, f"{first!r} and {r!r} would share the name r{r:g}")
+        setattr(namespace, self.dest, values)
 
 
 def _at_least(k: int):
@@ -310,9 +325,7 @@ def cmd_evt(args) -> dict:
     mc_report = None
     if args.replicas > 0:
         seq = solve_normalizers(model, args.mc_n)
-        sample = sample_normalized_max(
-            standard_gaussian_sampler, seq, args.replicas, RngStream(seed=args.seed), workers=args.workers
-        )
+        sample = sample_normalized_max(model, seq, args.replicas, RngStream(seed=args.seed), workers=args.workers)
         ks = ks_one_sample(sample, max_cdf(model, seq, sample.values))
         threshold = args.mc_ks_threshold
         if threshold is None:
@@ -487,7 +500,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_exit_experiment)
 
     p = sub.add_parser("density-convergence", help="recentered conditional density vs the Gumbel density")
-    p.add_argument("--r", type=_POSITIVE, nargs="+", required=True, help="thresholds")
+    p.add_argument("--r", type=_POSITIVE, nargs="+", required=True, action=_Thresholds, help="thresholds")
     p.add_argument("--tolerance", type=_NONNEGATIVE, default=0.01, help="sup bound at the largest threshold")
     _add_grid(p, -1.0, 5.0, 1e-3)
     _add_common(p)
@@ -505,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("residual", help="residual life scaling and its log transform")
     p.add_argument("--model", choices=("gaussian", "exponential"), default="gaussian")
-    p.add_argument("--r", type=_POSITIVE, nargs="+", required=True, help="thresholds")
+    p.add_argument("--r", type=_POSITIVE, nargs="+", required=True, action=_Thresholds, help="thresholds")
     p.add_argument("--tolerance", type=_NONNEGATIVE, default=0.01)
     _add_grid(p, -2.0, 6.0, 0.05)
     _add_common(p)

@@ -406,6 +406,18 @@ class TestCurveContract:
             assert half != seven
             assert not (tmp_path / f"{stem.format(0)}.csv").exists()
 
+    @pytest.mark.parametrize("subcommand", ["density-convergence", "residual"])
+    def test_thresholds_that_print_alike_are_a_usage_error(self, tmp_path, capsys, subcommand):
+        # both would be named r1: one curve file and one report key for two thresholds
+        out = tmp_path / "out"
+        argv = [subcommand, "--r", "5", "1.0000001", "1.0000002", "--grid-step", "0.1", "--output-dir", str(out)]
+        assert main(argv) == 2
+        err = _stdout_json(capsys)["error"]
+        assert err["type"] == "UsageError"
+        assert err["message"].startswith("argument --r:")
+        assert "1.0000001 and 1.0000002" in err["message"]
+        assert not out.exists()
+
     def test_evt(self, tmp_path, capsys):
         argv = ["evt", "--n", "3", "1000", "1000000000", "--grid-min", "-30", "--grid-max", "700"]
         assert main([*argv, "--grid-step", "0.5", "--output-dir", str(tmp_path)]) == 0
@@ -652,7 +664,7 @@ class TestInputGate:
             )
             return ConditionedSample(records=records, attempt_indices=tuple(range(n)), attempts=n)
 
-        def fake_maxima(sampler, seq, replicas, stream, workers):
+        def fake_maxima(model, seq, replicas, stream, workers):
             seen.append(workers)
             return EmpiricalSample.from_values(np.linspace(-1.0, 1.0, replicas))
 

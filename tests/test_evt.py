@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from exitgumbel import (
+    EmpiricalSample,
     NoBracket,
     NormalizingSequence,
     RngStream,
+    TailModel,
     exponential_tail_model,
     gaussian_tail,
     gaussian_tail_model,
@@ -16,13 +18,16 @@ from exitgumbel import (
     gumbel_cdf,
     ks_one_sample,
     ks_one_sample_critical,
+    ks_two_sample,
+    ks_two_sample_critical,
     max_cdf,
     sample_normalized_max,
     solve_normalizers,
-    standard_gaussian_sampler,
 )
+from exitgumbel.evt import _solve_log_tail
 
 GAUSS = gaussian_tail_model()
+EXPO = exponential_tail_model()
 
 # mpmath roots of tail(b) = 1/n at 40 digits
 FROZEN_CENTERS = {
@@ -36,12 +41,30 @@ FROZEN_CENTERS = {
 }
 
 
+# solve_normalizers(GAUSS, n) before the array solver, as float.hex
+FROZEN_HEX_NORMALIZERS = {
+    3: ("0x1.b91093bfdfa2cp-2", "0x1.292bfa0b41312p+1"),
+    50: ("0x1.06e13e8aadfdcp+1", "0x1.f299b2e8f85c9p-2"),
+    1000: ("0x1.8b8cbb7204471p+1", "0x1.4b5dde527b3d8p-2"),
+    10**4: ("0x1.dc08bb712893cp+1", "0x1.135773fca8689p-2"),
+    10**6: ("0x1.30381a9799f7fp+2", "0x1.aed8e840047edp-3"),
+    10**9: ("0x1.7fdc11f44b5a8p+2", "0x1.5575485d07529p-3"),
+}
+
+
 class TestSolveNormalizers:
     def test_frozen_roots(self):
         for n, want in FROZEN_CENTERS.items():
             seq = solve_normalizers(GAUSS, n)
             assert seq.center == pytest.approx(want, abs=5e-13)
             assert seq.scale == pytest.approx(1.0 / want, rel=1e-12)
+
+    def test_bit_identical_to_the_scalar_solver(self):
+        # center and scale as float.hex from the scalar bisection + Newton
+        # loop the array solver replaced
+        for n, (center, scale) in FROZEN_HEX_NORMALIZERS.items():
+            seq = solve_normalizers(GAUSS, n)
+            assert (seq.center.hex(), seq.scale.hex()) == (center, scale)
 
     def test_tail_space_accuracy(self):
         for n in (10, 1000, 10**6, 10**9):
@@ -69,6 +92,29 @@ class TestSolveNormalizers:
         # be bracketed on [0, 50]
         with pytest.raises(NoBracket):
             solve_normalizers(exponential_tail_model(), 10**23)
+
+    def test_no_bracket_for_a_huge_n(self):
+        # a 601-digit n: log tail(50) ~ -1255 is still above -log n ~ -1382
+        with pytest.raises(NoBracket):
+            solve_normalizers(GAUSS, 10**600)
+
+    @pytest.mark.parametrize("model", [GAUSS, EXPO], ids=["gaussian", "exponential"])
+    @pytest.mark.parametrize("n", [3, 10**4])
+    def test_array_solve_reaches_the_tolerance(self, model, n):
+        # the minima of n uniforms the sampler inverts; at n = 3 the
+        # Gaussian maxima reach below 0
+        u = 1.0 - np.max(np.random.Generator(np.random.Philox(7)).random((2000, n)), axis=1)
+        x = _solve_log_tail(model, np.log(u), -50.0, 50.0)
+        assert np.max(np.abs(model.log_tail(x) - np.log(u))) <= 1e-13
+        if model is GAUSS and n == 3:
+            assert x.min() < 0.0
+
+    def test_zero_slope_takes_the_bracket_midpoint(self):
+        # a flat log-tail gives a central-difference slope of 0: the Newton
+        # step falls back to bisection instead of dividing by zero
+        step = TailModel("step", None, lambda x: -np.floor(x), None)
+        x = _solve_log_tail(step, np.array([-0.5]), 0.0, 50.0)
+        assert abs(x[0] - 1.0) <= 1e-3
 
     def test_asymptotic_center_growth(self):
         # center ~ sqrt(2 ln n), approached slowly from below
@@ -142,27 +188,75 @@ class TestMaxCdf:
             assert abs(direct - via_count) <= 1e-6
 
 
+def _uniform_minimum_reference(model, seq, stream, replicas):
+    """Each replica solved on its own: the one-element inversion of 1 - max
+    of seq.n uniforms from substream i."""
+    values = []
+    for i in range(replicas):
+        u = 1.0 - np.max(stream.substream(i).random(seq.n))
+        x = _solve_log_tail(model, np.log(np.array([u])), -50.0, 50.0)[0]
+        values.append((x - seq.center) / seq.scale)
+    return np.sort(values)
+
+
+def _normal_block_reference(seq, stream, replicas):
+    """The max of seq.n standard normals from substream i: the sampler the
+    uniform minimum replaced, kept as the law's reference."""
+    values = [(np.max(stream.substream(i).standard_normal(seq.n)) - seq.center) / seq.scale for i in range(replicas)]
+    return EmpiricalSample.from_values(values)
+
+
 class TestNormalizedMaxSampling:
     def test_deterministic(self):
         seq = solve_normalizers(GAUSS, 50)
-        a = sample_normalized_max(standard_gaussian_sampler, seq, 100, RngStream(3))
-        b = sample_normalized_max(standard_gaussian_sampler, seq, 100, RngStream(3))
+        a = sample_normalized_max(GAUSS, seq, 100, RngStream(3))
+        b = sample_normalized_max(GAUSS, seq, 100, RngStream(3))
         assert np.array_equal(a.values, b.values)
 
     @pytest.mark.parametrize("seed", [3, 9])
     def test_ks_from_one_array_evaluation_equals_the_scalar_loop(self, seed):
         # evt's cross-check evaluates max_cdf once over the sorted replicas
         seq = solve_normalizers(GAUSS, 1000)
-        sample = sample_normalized_max(standard_gaussian_sampler, seq, 2000, RngStream(seed=seed))
+        sample = sample_normalized_max(GAUSS, seq, 2000, RngStream(seed=seed))
         per_value = ks_one_sample(sample, lambda x: max_cdf(GAUSS, seq, x))
         one_call = ks_one_sample(sample, max_cdf(GAUSS, seq, sample.values))
         assert one_call.hex() == per_value.hex()
 
     def test_matches_exact_finite_n_law(self):
         seq = solve_normalizers(GAUSS, 100)
-        sample = sample_normalized_max(standard_gaussian_sampler, seq, 2000, RngStream(14))
+        sample = sample_normalized_max(GAUSS, seq, 2000, RngStream(14))
         stat = ks_one_sample(sample, lambda x: max_cdf(GAUSS, seq, x))
         assert stat <= ks_one_sample_critical(2000)
+
+    def test_exponential_maxima_match_their_finite_n_law(self):
+        seq = solve_normalizers(EXPO, 100)
+        sample = sample_normalized_max(EXPO, seq, 2000, RngStream(15))
+        stat = ks_one_sample(sample, lambda x: max_cdf(EXPO, seq, x))
+        assert stat <= ks_one_sample_critical(2000)
+
+    @pytest.mark.parametrize("model", [GAUSS, EXPO], ids=["gaussian", "exponential"])
+    @pytest.mark.parametrize("n", [3, 50, 10**4])
+    def test_max_of_inverted_draws_is_the_inverted_minimum(self, model, n):
+        # pathwise: tail^-1 is decreasing, so inverting each of a block's
+        # uniforms and taking the max gives tail^-1 of their minimum
+        seq = solve_normalizers(model, n)
+        stream = RngStream(11, 4)
+        for i in range(5):
+            u = 1.0 - stream.substream(i).random(n)
+            each = _solve_log_tail(model, np.log(u), -50.0, 50.0)
+            of_min = _solve_log_tail(model, np.log(np.array([u.min()])), -50.0, 50.0)[0]
+            assert abs(each.max() - of_min) <= 1e-12
+            sampled = sample_normalized_max(model, seq, i + 1, stream).values
+            assert (of_min - seq.center) / seq.scale in sampled
+
+    @pytest.mark.parametrize("n", [10, 1000])
+    def test_same_law_as_the_max_of_normals(self, n):
+        # two-sample KS at the 1% level, 2e4 replicas per side from
+        # independent stream ids
+        seq = solve_normalizers(GAUSS, n)
+        sample = sample_normalized_max(GAUSS, seq, 20_000, RngStream(21, 1))
+        reference = _normal_block_reference(seq, RngStream(21, 2), 20_000)
+        assert ks_two_sample(sample, reference) <= ks_two_sample_critical(20_000, 20_000, 1.63)
 
     @pytest.mark.parametrize("replicas", [1, 7, 100])
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
@@ -170,27 +264,19 @@ class TestNormalizedMaxSampling:
         # uneven splits, and more workers than replicas
         seq = solve_normalizers(GAUSS, 50)
         stream = RngStream(3, 2)
-        reference = np.sort(
-            [(float(np.max(stream.substream(i).standard_normal(seq.n))) - seq.center) / seq.scale for i in range(replicas)]
-        )
-        sample = sample_normalized_max(standard_gaussian_sampler, seq, replicas, stream, workers=workers)
+        reference = _uniform_minimum_reference(GAUSS, seq, stream, replicas)
+        sample = sample_normalized_max(GAUSS, seq, replicas, stream, workers=workers)
         np.testing.assert_array_equal(sample.values.view(np.uint64), reference.view(np.uint64))
-
-    def test_threads_take_an_unpicklable_sampler(self):
-        seq = solve_normalizers(GAUSS, 50)
-        serial = sample_normalized_max(standard_gaussian_sampler, seq, 40, RngStream(5))
-        threaded = sample_normalized_max(lambda gen, size: gen.standard_normal(size), seq, 40, RngStream(5), workers=2)
-        np.testing.assert_array_equal(threaded.values.view(np.uint64), serial.values.view(np.uint64))
 
     def test_threads_under_fast_switching(self):
         # more threads than cores, switching every microsecond: every slot
         # of the shared output is still written by its own range only
         seq = solve_normalizers(GAUSS, 20)
-        serial = sample_normalized_max(standard_gaussian_sampler, seq, 500, RngStream(9))
+        serial = sample_normalized_max(GAUSS, seq, 500, RngStream(9))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = sample_normalized_max(standard_gaussian_sampler, seq, 500, RngStream(9), workers=8)
+            threaded = sample_normalized_max(GAUSS, seq, 500, RngStream(9), workers=8)
         finally:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(threaded.values.view(np.uint64), serial.values.view(np.uint64))
@@ -198,8 +284,6 @@ class TestNormalizedMaxSampling:
     def test_rejects_bad_arguments(self):
         seq = solve_normalizers(GAUSS, 10)
         with pytest.raises(ValueError):
-            sample_normalized_max(standard_gaussian_sampler, seq, 0, RngStream(1))
+            sample_normalized_max(GAUSS, seq, 0, RngStream(1))
         with pytest.raises(TypeError):
-            sample_normalized_max(
-                standard_gaussian_sampler, seq, 10, RngStream(1).generator()
-            )
+            sample_normalized_max(GAUSS, seq, 10, RngStream(1).generator())
