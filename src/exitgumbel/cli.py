@@ -262,7 +262,7 @@ def cmd_exit_experiment(args) -> dict:
     write_sample_csv(samples_path, rows)
 
     sample = EmpiricalSample.from_values(conditioned.normalized_times())
-    ks = ks_one_sample(sample, lambda x: limit_law_cdf(args.beta, args.a, x))
+    ks = ks_one_sample(sample, limit_law_cdf(args.beta, args.a, sample.values))
     p_limit = right_exit_probability(args.beta, args.a)
     rate = conditioned.acceptance_rate
     rate_se = math.sqrt(p_limit * (1.0 - p_limit) / conditioned.attempts)

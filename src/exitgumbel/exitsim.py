@@ -27,7 +27,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import gaussian_log_tail, gaussian_tail
+from .distributions import _each, _where, gaussian_log_tail, gaussian_tail
 from .errors import BudgetExceeded, GuardExceeded
 from .stats import RngStream, as_generator
 
@@ -62,10 +62,10 @@ MAX_STEP = 1e-2
 _FOLLOWUP_CHUNK = 2048
 _MAX_CHUNK = 65536
 _BLOCK_ATTEMPTS = 2048
-# Conditioned sampling runs the attempts of a block in lockstep batches of
-# _BATCH_ATTEMPTS. Each attempt's noise is simulated at knots every _COARSE
-# fine steps, _ROUND knots per attempt per round (see _batch_right_exits).
-_BATCH_ATTEMPTS = 128
+# Conditioned sampling runs a block's attempts in lockstep batches of
+# _BATCH_ATTEMPTS, each on one substream. Noise is simulated at knots every
+# _COARSE fine steps, _ROUND knots per attempt per round (_batch_right_exits).
+_BATCH_ATTEMPTS = 1024
 _COARSE = 64
 _ROUND = 16
 # Bound on the chance that an attempt stopped early would still have
@@ -487,15 +487,15 @@ def limit_law_sample(beta: float, a: float, rng, size: Optional[int] = None):
     return -np.log(n - r) / beta + shift
 
 
-def limit_law_cdf(beta: float, a: float, x: float) -> float:
-    """Distribution function of the limit law at x."""
+def limit_law_cdf(beta: float, a: float, x):
+    """Distribution function of the limit law at x, a float or an array."""
     r = _limit_law_parameters(beta, a)
-    if beta * x < -690.0:
-        return 0.0
-    arg = r + math.sqrt(2.0 * beta) * math.exp(-beta * x)
-    if arg > 300.0:
-        return 0.0
-    return math.exp(gaussian_log_tail(arg) - gaussian_log_tail(r))
+
+    def cdf(x):
+        arg = r + math.sqrt(2.0 * beta) * _each(math.exp, -beta * x)
+        return _where(arg > 300.0, arg, lambda arg: 0.0, lambda arg: _each(math.exp, gaussian_log_tail(arg) - gaussian_log_tail(r)))
+
+    return _where(beta * x < -690.0, x, lambda x: 0.0, cdf)
 
 
 def right_exit_probability(beta: float, a: float) -> float:
@@ -597,23 +597,24 @@ def _bridge_fill(t, m, x, y, normals):
     return normals
 
 
-def _batch_right_exits(problem, stream, attempts, gens):
+def _batch_right_exits(problem, stream, attempts, gen):
     """Right exits of a lockstep batch of attempts, in attempt order.
 
-    Row r runs attempt attempts[r] on gens[r], seated at its substream. In
-    rounds of _ROUND knots, each live attempt draws one normal per knot for
-    I at the knots. Its intervals that `_needs_refining` flags, in order up
-    to the first knot that settles the attempt, are filled with _COARSE
-    normals each by `_bridge_fill` and tested at every fine step, so a right
-    exit keeps its fine-step index. An attempt also leaves at a knot with
-    Y <= -c (rejected, see `_rejection_depth`). Its draws depend only on its
-    own path, never on the batch.
+    Row r runs attempt attempts[r], a whole aligned batch, on `gen` seated at
+    substream attempts.start // _BATCH_ATTEMPTS. Each round of _ROUND knots
+    draws I at the knots of all live rows at once. The intervals that
+    `_needs_refining` flags, up to the first knot that settles their attempt,
+    are filled by `_bridge_fill` from one draw for all of them (row-major)
+    and tested at every fine step, so a right exit keeps its fine-step index.
+    An attempt also leaves at a knot with Y <= -c (rejected, see
+    `_rejection_depth`). Which rows receive a round's fresh normals depends
+    only on earlier draws, so each attempt keeps the reference law.
     """
     t = _coarse_tables(problem)
     h, centering, a, bound = problem.step, problem.centering_time, problem.a, problem.bound
     intervals = t["start"].size
 
-    live = [stream.seat(gen, i) for gen, i in zip(gens, attempts)]
+    stream.seat(gen, attempts.start // _BATCH_ATTEMPTS)
     index = np.asarray(attempts)
     x0 = np.zeros(index.size)
     hits = []
@@ -621,9 +622,7 @@ def _batch_right_exits(problem, stream, attempts, gens):
         hi = min(lo + _ROUND, intervals)
         n, width = index.size, hi - lo
         path = np.empty((n, width + 1))
-        for gen, row in zip(live, path[:, 1:]):
-            gen.standard_normal(out=row)
-        path[:, 1:] *= t["knot_sd"][lo:hi]
+        np.multiply(gen.standard_normal((n, width)), t["knot_sd"][lo:hi], out=path[:, 1:])
         path[:, 0] = x0
         np.cumsum(path, axis=1, out=path)
         prev, knots = path[:, :-1], path[:, 1:]
@@ -639,22 +638,17 @@ def _batch_right_exits(problem, stream, attempts, gens):
         hit_step = np.zeros(n, dtype=np.int64)
         pr, pc = np.nonzero(flagged)
         if pr.size:
-            # Row-major pairs: each row's flagged intervals are contiguous and
-            # in path order, so one draw per row fills them all.
-            rows, first, counts = np.unique(pr, return_index=True, return_counts=True)
-            fine = np.empty((pr.size, _COARSE))
-            for r, f, k in zip(rows.tolist(), first.tolist(), counts.tolist()):
-                live[r].standard_normal(out=fine[f : f + k])
             m = lo + pc
-            _bridge_fill(t, m, path[pr, pc], path[pr, pc + 1], fine)
+            fine = _bridge_fill(t, m, path[pr, pc], path[pr, pc + 1], gen.standard_normal((pr.size, _COARSE)))
             fine_decay = t["scale"][m][:, None] * t["decay"]
             right = fine >= a + bound * fine_decay
             crossed = right | (fine <= a - bound * fine_decay)
             crossed &= np.arange(_COARSE) < t["length"][m][:, None]
             crossing = np.flatnonzero(crossed.any(axis=1))
             if crossing.size:
-                rows, first = np.unique(pr[crossing], return_index=True)
-                p = crossing[first]
+                rows = pr[crossing]  # row-major: each row's first crossing comes first
+                first = np.flatnonzero(np.diff(rows, prepend=-1))
+                rows, p = rows[first], crossing[first]
                 k = crossed[p].argmax(axis=1)
                 hit_col[rows] = pc[p]
                 hit_right[rows] = right[p, k]
@@ -668,7 +662,6 @@ def _batch_right_exits(problem, stream, attempts, gens):
         keep = (hit_col == width) & (reject_col == width)
         if not keep.any():
             return sorted(hits)
-        live = [gen for gen, kept in zip(live, keep.tolist()) if kept]
         index, x0 = index[keep], knots[keep, -1]
     raise GuardExceeded(
         f"no exit within guard horizon {problem.guard_horizon} "
@@ -678,15 +671,16 @@ def _batch_right_exits(problem, stream, attempts, gens):
 
 def _conditioned_block(args):
     """Right exits of attempts [start, stop) as (attempt, tau, normalized
-    time, steps) rows in attempt order, run in lockstep batches. Stops after
-    the batch in which the block has found `need` of them: no later attempt
-    can be among the first `need` acceptances."""
+    time, steps) rows in attempt order. A batch that `stop` cuts runs whole,
+    so no attempt's noise depends on the budget. Stops after the batch in
+    which the block has found `need` of them: no later attempt can be among
+    the first `need` acceptances."""
     problem, stream, start, stop, need = args
-    gens = [np.random.Generator(np.random.Philox(key=0)) for _ in range(_BATCH_ATTEMPTS)]
+    gen = np.random.Generator(np.random.Philox(key=0))
     hits = []
     for lo in range(start, stop, _BATCH_ATTEMPTS):
-        attempts = range(lo, min(lo + _BATCH_ATTEMPTS, stop))
-        hits.extend(_batch_right_exits(problem, stream, attempts, gens))
+        batch = _batch_right_exits(problem, stream, range(lo, lo + _BATCH_ATTEMPTS), gen)
+        hits.extend(hit for hit in batch if hit[0] < stop)
         if len(hits) >= need:
             break
     return hits
@@ -701,12 +695,13 @@ def sample_conditioned_exits(
 ) -> ConditionedSample:
     """Rejection-sample right-exit records until n_accept are kept.
 
-    The noise for attempt i depends only on (stream, i), and accepted
-    records are returned in attempt order, so the result is identical for
-    every worker count: workers <= 1 runs the same blocks in-process, one at a
-    time. Raises BudgetExceeded when the attempt cap is (or is projected to
-    be) insufficient, which signals that the right exit is too rare for
-    rejection and the limit-law sampler should be used.
+    The noise for attempt i depends only on (stream, i // _BATCH_ATTEMPTS),
+    and accepted records are returned in attempt order, so the result is
+    identical for every worker count and unexhausted budget: workers <= 1
+    runs the same blocks in-process, one at a time. Raises BudgetExceeded
+    when the attempt cap is (or is projected to be) insufficient, which
+    signals that the right exit is too rare for rejection and the limit-law
+    sampler should be used.
 
     Each attempt runs on the pathwise form Y_k = g^k * (-a + I_k), where I,
     the discounted noise, is a Brownian motion W on the variance clock
@@ -725,7 +720,8 @@ def sample_conditioned_exits(
     about 9e-8 at beta=1, epsilon=0.01, a=1, h=1e-3 and 1e4 accepted
     (~1.3e5 attempts, 697 intervals). Samples are law-identical to that
     sampler's but not bit-identical, and differ from those of versions that
-    stepped every attempt at fine resolution.
+    stepped every attempt at fine resolution or drew each attempt's noise
+    from its own substream.
 
     The saving needs a band half-width 1/epsilon wide
     against the noise scale 1/sqrt(2 beta), the small-noise regime (100

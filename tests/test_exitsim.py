@@ -1,6 +1,7 @@
 """Exit-time simulation: integrators, conditioning, pathwise coupling,
 and the closed-form limit law."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -328,8 +329,8 @@ class TestConditionedSampling:
     def test_worker_count_invariance(self):
         p = _problem()
         serial = sample_conditioned_exits(p, 30, RngStream(17), workers=1)
-        parallel = sample_conditioned_exits(p, 30, RngStream(17), workers=2)
-        assert serial == parallel
+        for workers in (2, 3):
+            assert sample_conditioned_exits(p, 30, RngStream(17), workers=workers) == serial
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_later_parallel_waves_match_serial(self, monkeypatch, workers):
@@ -375,8 +376,11 @@ class TestConditionedSampling:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_budget_exhaustion(self, workers):
-        # The budget ends exactly at the sampler's own 39th right exit.
-        p, n = _problem(), 39
+        # The budget ends exactly at the sampler's own n-th right exit. n is
+        # the smallest n >= 39 at which that budget is not refused by the
+        # projection (n + 1)/p; re-derive it by that rule when the sample
+        # for seed 1 changes.
+        p, n = _problem(), 92
         stream = RngStream(1)
         unbounded = sample_conditioned_exits(p, n, stream)
         budget = unbounded.attempts
@@ -385,6 +389,17 @@ class TestConditionedSampling:
         assert cs == unbounded
         with pytest.raises(BudgetExceeded, match=f"exhausted with {n}"):
             sample_conditioned_exits(p, n + 1, stream, budget=budget, workers=workers)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_budget_ending_mid_batch_keeps_the_records(self, seed, workers):
+        # A budget that cuts a batch of a later block must not change the
+        # noise of the attempts before it: the cut batch still runs whole.
+        p, n = _problem(), 300
+        unbounded = sample_conditioned_exits(p, n, RngStream(seed))
+        budget = unbounded.attempts
+        assert budget > exitsim._BLOCK_ATTEMPTS and budget % exitsim._BATCH_ATTEMPTS != 0
+        assert sample_conditioned_exits(p, n, RngStream(seed), budget=budget, workers=workers) == unbounded
 
     def test_serial_stops_within_one_batch_of_last_acceptance(self, monkeypatch):
         simulated = []
@@ -432,6 +447,46 @@ class TestBatchedKernel:
         pooled = 2 * n / (got.attempts + attempts)
         se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / got.attempts + 1.0 / attempts))
         assert abs(got.acceptance_rate - n / attempts) <= 3.0 * se
+
+    @pytest.mark.parametrize("name", ["a1", "narrow"])
+    def test_one_knot_draw_and_at_most_one_fine_draw_per_round(self, monkeypatch, name):
+        # Events per round: K, the knot draw, and R, the refine test over the
+        # live rows' knots; then F, the fine draw, and B, the bridge fill of
+        # the flagged intervals, when any are flagged.
+        events = []
+
+        class CountingGenerator(np.random.Generator):
+            def standard_normal(self, size=None, dtype=np.float64, out=None):
+                result = super().standard_normal(size, dtype, out)
+                kind = "F" if result.shape[1] == exitsim._COARSE else "K"
+                events.append((kind, result.size))
+                return result
+
+        kernel, refine, fill = exitsim._batch_right_exits, exitsim._needs_refining, exitsim._bridge_fill
+
+        def counting_kernel(problem, stream, attempts, gen):
+            return kernel(problem, stream, attempts, CountingGenerator(gen.bit_generator))
+
+        def counting_refine(t, lo, hi, prev, knots):
+            events.append(("R", knots.size))
+            return refine(t, lo, hi, prev, knots)
+
+        def counting_fill(t, m, x, y, normals):
+            events.append(("B", m.size))
+            return fill(t, m, x, y, normals)
+
+        p = _problem(**self.PROBLEMS[name])
+        plain = sample_conditioned_exits(p, 20, RngStream(5))
+        monkeypatch.setattr(exitsim, "_batch_right_exits", counting_kernel)
+        monkeypatch.setattr(exitsim, "_needs_refining", counting_refine)
+        monkeypatch.setattr(exitsim, "_bridge_fill", counting_fill)
+        assert sample_conditioned_exits(p, 20, RngStream(5)) == plain
+
+        assert re.fullmatch("(KR(FB)?)+", "".join(kind for kind, _ in events))
+        count = {kind: sum(size for k, size in events if k == kind) for kind in "KRFB"}
+        assert count["K"] == count["R"]  # one normal per knot of each live row
+        assert count["B"] > 0
+        assert count["K"] + count["F"] == count["R"] + exitsim._COARSE * count["B"]
 
     @pytest.mark.parametrize("m", [3, -1])
     def test_bridge_fill_matches_bridge_law(self, m):
@@ -548,6 +603,25 @@ class TestLimitLaw:
         assert all(b >= a for a, b in zip(vals, vals[1:]))
         assert limit_law_cdf(1.0, 1.0, -200.0) == 0.0
         assert limit_law_cdf(1.0, 1.0, 60.0) == pytest.approx(1.0, rel=1e-9)
+
+    @pytest.mark.parametrize("beta, a", [(1.0, 1.0), (20.0, 0.2), (0.25, 2.0)])
+    def test_cdf_of_an_array_matches_each_value(self, beta, a):
+        # both branches that return 0 (beta*x < -690 and an argument above
+        # 300) and the tail ratio, with the KS statistic of the values
+        x = np.sort(np.concatenate([
+            np.linspace(-800.0 / beta, -600.0 / beta, 41),
+            np.linspace(-10.0, 30.0, 2001),
+            limit_law_sample(beta, a, RngStream(9), size=500),
+        ]))
+        each = np.array([limit_law_cdf(beta, a, float(v)) for v in x])
+        whole = limit_law_cdf(beta, a, x)
+        assert (whole == 0.0).any() and ((whole > 0.0) & (whole < 1.0)).any()
+        inside = x[beta * x >= -690.0]
+        assert inside.size < x.size
+        assert (a * math.sqrt(2.0 * beta) + math.sqrt(2.0 * beta) * np.exp(-beta * inside) > 300.0).any()
+        assert np.array_equal(whole, each)
+        sample = EmpiricalSample.from_values(x)
+        assert ks_one_sample(sample, whole) == ks_one_sample(sample, lambda v: limit_law_cdf(beta, a, v))
 
     def test_cdf_derivative_matches_density(self):
         # chain rule: the limit-law density is beta * p(r, beta*x - ln(2 beta)/2)
