@@ -2,6 +2,11 @@
 Gaussian extremes, and residual life times, verified by a mix of Monte
 Carlo simulation and high-precision deterministic tail computation."""
 
+import os
+
+# No code here calls BLAS, and OpenBLAS's idle thread pool costs each process ~0.1 s of CPU.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 from .distributions import (
     TailModel,
     exponential_tail_model,

@@ -531,9 +531,10 @@ def _coarse_tables(problem: ExitProblem):
     at its right knot. Per interval m: first fine step `start`, `length`,
     noise scale g^-start, knot increment sd sqrt(dV), refine threshold
     dV*ln(2/delta)/2, and the boundaries and rejection floor a - c*g^-k at
-    its right knot; per fine offset i = 1.._COARSE: g^-i, s*g^-i and
-    1 - g^-2i (the bridge weight's numerator). Fine-step boundaries are
-    a +- (1/eps)*(g^-start * g^-i), the same expressions as at the knots.
+    its right knot; per fine offset i = 1.._COARSE: s*g^-i and 1 - g^-2i
+    (the bridge weight's numerator); per interval and offset: the fine-step
+    boundaries a +- (1/eps)*(g^-start * g^-i), the same expressions as at
+    the knots, and +-inf past the interval's length.
     """
     beta, h = problem.model.beta, problem.step
     _, s = _exact_coefficients(problem)
@@ -547,6 +548,11 @@ def _coarse_tables(problem: ExitProblem):
     bound = problem.bound
     bridge_var = -np.expm1(-2.0 * beta * h * offsets)
     dv = scale * scale * bridge_var[length - 1] / (2.0 * beta)
+    fine_reach = scale[:, None] * decay
+    fine_reach *= bound
+    fine_upper, fine_lower = problem.a + fine_reach, problem.a - fine_reach
+    past = offsets > length[:, None]
+    fine_upper[past], fine_lower[past] = np.inf, -np.inf
     tables = dict(
         start=start,
         length=length,
@@ -556,7 +562,8 @@ def _coarse_tables(problem: ExitProblem):
         upper=problem.a + bound * knot_decay,
         lower=problem.a - bound * knot_decay,
         floor=problem.a - _rejection_depth(problem) * knot_decay,
-        decay=decay,
+        fine_upper=fine_upper,
+        fine_lower=fine_lower,
         step_noise=s * decay,
         bridge_var=bridge_var,
     )
@@ -611,7 +618,7 @@ def _batch_right_exits(problem, stream, attempts, gen):
     only on earlier draws, so each attempt keeps the reference law.
     """
     t = _coarse_tables(problem)
-    h, centering, a, bound = problem.step, problem.centering_time, problem.a, problem.bound
+    h, centering = problem.step, problem.centering_time
     intervals = t["start"].size
 
     stream.seat(gen, attempts.start // _BATCH_ATTEMPTS)
@@ -640,10 +647,8 @@ def _batch_right_exits(problem, stream, attempts, gen):
         if pr.size:
             m = lo + pc
             fine = _bridge_fill(t, m, path[pr, pc], path[pr, pc + 1], gen.standard_normal((pr.size, _COARSE)))
-            fine_decay = t["scale"][m][:, None] * t["decay"]
-            right = fine >= a + bound * fine_decay
-            crossed = right | (fine <= a - bound * fine_decay)
-            crossed &= np.arange(_COARSE) < t["length"][m][:, None]
+            right = fine >= t["fine_upper"][m]
+            crossed = right | (fine <= t["fine_lower"][m])
             crossing = np.flatnonzero(crossed.any(axis=1))
             if crossing.size:
                 rows = pr[crossing]  # row-major: each row's first crossing comes first

@@ -1,5 +1,6 @@
 """CLI subcommands: outputs, exit codes, reproducibility."""
 import argparse
+import ast
 import csv
 import json
 import math
@@ -797,3 +798,58 @@ def test_cli_import_loads_no_pool():
     loaded = set(proc.stdout.decode().split())
     assert "exitgumbel.cli" in loaded
     assert not loaded & {"concurrent.futures", "concurrent.futures.process", "concurrent.futures.thread", "multiprocessing"}
+
+
+def _after_import(preset=None):
+    """OPENBLAS_NUM_THREADS and the thread count (None without /proc) of a
+    fresh process after `import exitgumbel`, started with the variable unset
+    or set to `preset`."""
+    env = _child_env()
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    if preset is not None:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = (
+        "import json, os, pathlib, exitgumbel\n"
+        "status = pathlib.Path('/proc/self/status')\n"
+        "lines = status.read_text().splitlines() if status.exists() else []\n"
+        "threads = [int(line.split()[1]) for line in lines if line.startswith('Threads:')]\n"
+        "print(json.dumps([os.environ.get('OPENBLAS_NUM_THREADS'), threads[0] if threads else None]))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, timeout=120, check=True)
+    return json.loads(proc.stdout)
+
+
+def test_import_pins_openblas_to_one_thread():
+    assert _after_import()[0] == "1"
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="thread count needs /proc")
+def test_import_starts_no_blas_threads():
+    assert _after_import()[1] == 1
+
+
+def test_import_keeps_a_preset_openblas_thread_count():
+    assert _after_import("2")[0] == "2"
+
+
+_BLAS_NAMES = {"dot", "matmul", "einsum", "inner", "tensordot", "vdot", "linalg"}
+
+
+def test_package_calls_no_blas():
+    """The OpenBLAS pin in `exitgumbel/__init__.py` assumes the package calls
+    no BLAS or LAPACK routine: no `@`, and no numpy dot, matmul, einsum,
+    inner, tensordot, vdot or linalg. Code that needs one (the planned
+    `np.linalg.eigh` of the finite-epsilon reference, say) must re-time
+    itself under the pin and then edit this test knowingly."""
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.MatMult):
+                found.append((path.name, node.lineno, "@"))
+            elif isinstance(node, ast.Attribute) and node.attr in _BLAS_NAMES:
+                found.append((path.name, node.lineno, node.attr))
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                names = {part for alias in node.names for part in alias.name.split(".")}
+                names.update((getattr(node, "module", None) or "").split("."))
+                found.extend((path.name, node.lineno, name) for name in sorted(names & _BLAS_NAMES))
+    assert not found
