@@ -3,7 +3,8 @@
 Exit codes: 0 all configured checks passed, 1 a check failed, 2 usage
 error (any parse failure: each flag's range is checked by its parser type
 before any work), 3 runtime error (budget, guard or bracket failures,
-non-finite results, a ValueError from inside a command, a closed stdout).
+non-finite results, a ValueError from inside a command, memory that cannot
+be allocated, a closed stdout).
 Each subcommand computes a report; `main` adds the fully resolved
 configuration, writes it as `<first word of the subcommand>_report.json`,
 prints it (identity-suite prints a table instead) and maps its `pass` to
@@ -325,7 +326,7 @@ def cmd_evt(args) -> dict:
     mc_report = None
     if args.replicas > 0:
         seq = solve_normalizers(model, args.mc_n)
-        sample = sample_normalized_max(model, seq, args.replicas, RngStream(seed=args.seed), workers=args.workers)
+        sample = sample_normalized_max(model, seq, args.replicas, RngStream(seed=args.seed))
         ks = ks_one_sample(sample, max_cdf(model, seq, sample.values))
         threshold = args.mc_ks_threshold
         if threshold is None:
@@ -468,10 +469,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--output-dir", type=str, default="exitgumbel-out", help="directory for files")
 
 
-def _add_workers(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--workers", type=_WORKERS, default=os.cpu_count() or 1, help="clamped to [1, CPU count]")
-
-
 def _add_grid(parser: argparse.ArgumentParser, lo: float, hi: float, step: float) -> None:
     parser.add_argument("--grid-min", type=_FINITE, default=lo)
     parser.add_argument("--grid-max", type=_FINITE, default=hi)
@@ -495,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--step", type=_STEP, default=1e-3, help="integration step")
     p.add_argument("--ks-threshold", type=_NONNEGATIVE, default=0.03)
     p.add_argument("--budget", type=_at_least(1), default=10**9, help="attempt cap for rejection sampling")
-    _add_workers(p)
+    p.add_argument("--workers", type=_WORKERS, default=os.cpu_count() or 1, help="clamped to [1, CPU count]")
     _add_common(p)
     p.set_defaults(func=cmd_exit_experiment)
 
@@ -511,7 +508,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--replicas", type=_at_least(0), default=0, help="Monte Carlo replicas (0 = skip sampling)")
     p.add_argument("--mc-n", type=_at_least(3), default=10_000, help="block size for the Monte Carlo cross-check")
     p.add_argument("--mc-ks-threshold", type=_NONNEGATIVE, default=None)
-    _add_workers(p)
     _add_grid(p, -2.0, 4.0, 0.05)
     _add_common(p)
     p.set_defaults(func=cmd_evt)
@@ -544,7 +540,7 @@ def main(argv=None) -> int:
         code = PASS if report["pass"] else CHECK_FAILED
     except SystemExit as exc:  # --help and --version print their own text
         code = exc.code
-    except (UsageError, ExitGumbelError, OSError, ValueError) as exc:
+    except (UsageError, ExitGumbelError, OSError, ValueError, MemoryError) as exc:
         report = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         code = USAGE_ERROR if isinstance(exc, UsageError) else RUNTIME_ERROR
     try:

@@ -30,7 +30,6 @@ from exitgumbel import (
 )
 from exitgumbel.cli import main
 from exitgumbel.exitsim import ConditionedSample, ExitRecord
-from exitgumbel.stats import EmpiricalSample
 
 
 def _strict(text):
@@ -219,22 +218,22 @@ class TestEvtCommand:
         assert code == 0
         assert report["monte_carlo"]["pass"] is True
 
-    def test_worker_count_changes_no_output(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # threads even on one core
-        reports = {}
-        for workers in (1, 2):
-            out = tmp_path / f"w{workers}"
-            argv = ["evt", "--n", "1000", "--replicas", "50", "--mc-n", "100", "--workers", str(workers)]
-            assert main([*argv, "--output-dir", str(out)]) == 0
-            reports[workers] = _stdout_json(capsys)
-            assert reports[workers]["config"].pop("workers") == workers
-            assert reports[workers]["config"].pop("output_dir") == str(out)
-        assert reports[1] == reports[2]
-        names = sorted(path.name for path in (tmp_path / "w1").glob("*.csv"))
-        assert names == sorted(path.name for path in (tmp_path / "w2").glob("*.csv"))
-        assert len(names) == 2
-        for name in names:
-            assert (tmp_path / "w1" / name).read_bytes() == (tmp_path / "w2" / name).read_bytes()
+    def test_workers_is_not_an_evt_flag(self, tmp_path, capsys):
+        code = main(["evt", "--n", "1000", "--workers", "2", "--output-dir", str(tmp_path / "out")])
+        err = _stdout_json(capsys)["error"]
+        assert code == 2
+        assert err["type"] == "UsageError"
+        assert "--workers" in err["message"]
+        assert not (tmp_path / "out").exists()
+
+    def test_unallocatable_block_is_runtime_error(self, tmp_path, capsys):
+        # 2e15 bytes of Philox words: more than the address space, so the
+        # allocation is refused before any memory is touched
+        code = main(["evt", "--n", "1000", "--replicas", "1", "--mc-n", "1000000000000000", "--output-dir", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.err == ""
+        assert _strict(captured.out)["error"]["type"] == "MemoryError"
 
     def test_small_n_usage_error(self, tmp_path, capsys):
         code = main(["evt", "--n", "2", "--output-dir", str(tmp_path)])
@@ -458,6 +457,20 @@ class TestExitExperiment:
         assert code == 0
         assert (tmp_path / "exit_samples.csv").read_bytes() == first_bytes
 
+    def test_worker_count_changes_no_output(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core
+        reports = {}
+        for workers in (1, 2):
+            out = tmp_path / f"w{workers}"
+            argv = ["exit-experiment", "--n", "20", "--ks-threshold", "1.0", "--workers", str(workers)]
+            assert main([*argv, "--output-dir", str(out)]) == 0
+            reports[workers] = _stdout_json(capsys)
+            assert reports[workers]["config"].pop("workers") == workers
+            assert reports[workers]["config"].pop("output_dir") == str(out)
+            assert reports[workers].pop("samples_file") == str(out / "exit_samples.csv")
+        assert reports[1] == reports[2]
+        assert (tmp_path / "w1" / "exit_samples.csv").read_bytes() == (tmp_path / "w2" / "exit_samples.csv").read_bytes()
+
     def test_ks_threshold_failure_is_exit_one(self, tmp_path, capsys):
         code = main(
             [
@@ -653,7 +666,7 @@ class TestInputGate:
             assert err["type"] == "UsageError"
             assert f"argument {flag}:" in err["message"]
 
-    @pytest.mark.parametrize("subcommand", ["exit-experiment", "evt"])
+    @pytest.mark.parametrize("subcommand", ["exit-experiment"])
     def test_workers_clamped_to_cpu_count(self, tmp_path, capsys, monkeypatch, subcommand):
         seen = []
 
@@ -665,18 +678,9 @@ class TestInputGate:
             )
             return ConditionedSample(records=records, attempt_indices=tuple(range(n)), attempts=n)
 
-        def fake_maxima(model, seq, replicas, stream, workers):
-            seen.append(workers)
-            return EmpiricalSample.from_values(np.linspace(-1.0, 1.0, replicas))
-
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         monkeypatch.setattr(cli, "sample_conditioned_exits", fake_exits)
-        monkeypatch.setattr(cli, "sample_normalized_max", fake_maxima)
-        args = {
-            "exit-experiment": ["--n", "4", "--ks-threshold", "1.0"],
-            "evt": ["--n", "1000", "--replicas", "4", "--mc-ks-threshold", "1.0"],
-        }[subcommand]
-        base = [subcommand, *args, "--output-dir", str(tmp_path)]
+        base = [subcommand, "--n", "4", "--ks-threshold", "1.0", "--output-dir", str(tmp_path)]
         for requested, used in (("64", 3), ("2", 2), ("0", 1), ("-5", 1)):
             assert main(base + ["--workers", requested]) == 0
             assert _stdout_json(capsys)["config"]["workers"] == used
@@ -792,7 +796,7 @@ def _child_env() -> dict:
 
 
 def test_cli_import_loads_no_pool():
-    # exitsim and evt import concurrent.futures only when workers > 1
+    # exitsim imports concurrent.futures only when workers > 1
     code = "import sys, exitgumbel.cli; print(*sys.modules, sep='\\n')"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env(), timeout=120, check=True)
     loaded = set(proc.stdout.decode().split())

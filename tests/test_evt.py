@@ -1,6 +1,8 @@
 """Normalizing sequences, exceedance-count curves, and block maxima."""
 import math
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -24,7 +26,7 @@ from exitgumbel import (
     sample_normalized_max,
     solve_normalizers,
 )
-from exitgumbel.evt import _solve_log_tail
+from exitgumbel.evt import _solve_log_tail, _uniform_minima
 
 GAUSS = gaussian_tail_model()
 EXPO = exponential_tail_model()
@@ -188,15 +190,51 @@ class TestMaxCdf:
             assert abs(direct - via_count) <= 1e-6
 
 
-def _uniform_minimum_reference(model, seq, stream, replicas):
-    """Each replica solved on its own: the one-element inversion of 1 - max
-    of seq.n uniforms from substream i."""
-    values = []
+def _lane_reference(stream, n, i):
+    """Replica i's n lanes as 53-bit integers, rebuilt from substream i with
+    shifts: the top 16 bits of every lane, four to a Philox word from its
+    low end, then the top 37 bits of one fresh word OR-ed into each lane
+    tied at the top, in lane order. Also returns the number of tied lanes."""
+    bits = stream.substream(i).bit_generator
+    words = bits.random_raw(-(-n // 4))
+    top = (words[:, None] >> np.array([0, 16, 32, 48], dtype=np.uint64) & np.uint64(0xFFFF)).ravel()[:n]
+    lanes = top << np.uint64(37)
+    tied = top == top.max()
+    lanes[tied] |= bits.random_raw(int(tied.sum())) >> np.uint64(27)
+    return lanes, int(tied.sum())
+
+
+def _full_uniform_reference(model, seq, stream, replicas):
+    """1 - max of seq.n full 53-bit uniforms from substream i, inverted: the
+    draw the top-16-bit lanes replaced, kept as the law's reference."""
+    u = np.array([1.0 - np.max(stream.substream(i).random(seq.n)) for i in range(replicas)])
+    x = _solve_log_tail(model, np.log(u), -50.0, 50.0)
+    return EmpiricalSample.from_values((x - seq.center) / seq.scale)
+
+
+def _lane_sample_reference(model, seq, stream, replicas):
+    """Each replica solved on its own: the one-element inversion of the
+    minimum rebuilt by `_lane_reference` from substream i, sorted."""
+    x = []
     for i in range(replicas):
-        u = 1.0 - np.max(stream.substream(i).random(seq.n))
-        x = _solve_log_tail(model, np.log(np.array([u])), -50.0, 50.0)[0]
-        values.append((x - seq.center) / seq.scale)
-    return np.sort(values)
+        lanes, _ = _lane_reference(stream, seq.n, i)
+        u = np.array([(2**53 - int(lanes.max())) * 2.0**-53])
+        x.append(_solve_log_tail(model, np.log(u), -50.0, 50.0)[0])
+    return np.sort((np.array(x) - seq.center) / seq.scale)
+
+
+def _sample_on_threads(threads, *args):
+    """`sample_normalized_max(*args)` called at once from `threads` threads
+    that share one stream; returns each call's values."""
+    barrier = threading.Barrier(threads)
+
+    def call():
+        barrier.wait(timeout=30)
+        return sample_normalized_max(*args).values
+
+    with ThreadPoolExecutor(threads) as pool:
+        futures = [pool.submit(call) for _ in range(threads)]
+        return [f.result(timeout=60) for f in futures]
 
 
 def _normal_block_reference(seq, stream, replicas):
@@ -230,23 +268,25 @@ class TestNormalizedMaxSampling:
 
     def test_exponential_maxima_match_their_finite_n_law(self):
         seq = solve_normalizers(EXPO, 100)
-        sample = sample_normalized_max(EXPO, seq, 2000, RngStream(15))
+        sample = sample_normalized_max(EXPO, seq, 20_000, RngStream(15))
         stat = ks_one_sample(sample, lambda x: max_cdf(EXPO, seq, x))
-        assert stat <= ks_one_sample_critical(2000)
+        assert stat <= ks_one_sample_critical(20_000)
 
     @pytest.mark.parametrize("model", [GAUSS, EXPO], ids=["gaussian", "exponential"])
     @pytest.mark.parametrize("n", [3, 50, 10**4])
     def test_max_of_inverted_draws_is_the_inverted_minimum(self, model, n):
         # pathwise: tail^-1 is decreasing, so inverting each of a block's
-        # uniforms and taking the max gives tail^-1 of their minimum
+        # uniforms and taking the max gives tail^-1 of their minimum, the
+        # replica the sampler keeps
         seq = solve_normalizers(model, n)
         stream = RngStream(11, 4)
+        sampled = sample_normalized_max(model, seq, 5, stream).values
         for i in range(5):
-            u = 1.0 - stream.substream(i).random(n)
+            lanes, _ = _lane_reference(stream, n, i)
+            u = (np.uint64(2**53) - lanes).astype(float) * 2.0**-53
             each = _solve_log_tail(model, np.log(u), -50.0, 50.0)
             of_min = _solve_log_tail(model, np.log(np.array([u.min()])), -50.0, 50.0)[0]
             assert abs(each.max() - of_min) <= 1e-12
-            sampled = sample_normalized_max(model, seq, i + 1, stream).values
             assert (of_min - seq.center) / seq.scale in sampled
 
     @pytest.mark.parametrize("n", [10, 1000])
@@ -258,28 +298,79 @@ class TestNormalizedMaxSampling:
         reference = _normal_block_reference(seq, RngStream(21, 2), 20_000)
         assert ks_two_sample(sample, reference) <= ks_two_sample_critical(20_000, 20_000, 1.63)
 
+    @pytest.mark.parametrize("n, replicas", [(3, 10), (4, 10), (5, 10), (2**18, 4)])
+    def test_replicas_match_the_lane_reference(self, n, replicas):
+        # n = 3, 4, 5 end inside, at and past one Philox word's four lanes;
+        # at n = 2^18 (four lanes per 16-bit value) the top is usually tied
+        seq = solve_normalizers(GAUSS, n)
+        stream = RngStream(3, 2)
+        refs = [_lane_reference(stream, n, i) for i in range(replicas)]
+        u = np.array([(2**53 - int(lanes.max())) * 2.0**-53 for lanes, _ in refs])
+        np.testing.assert_array_equal(_uniform_minima(stream, n, replicas).view(np.uint64), u.view(np.uint64))
+        # each replica inverted on its own, as one-element solves
+        x = np.array([_solve_log_tail(GAUSS, np.log(u[i : i + 1]), -50.0, 50.0)[0] for i in range(replicas)])
+        sample = sample_normalized_max(GAUSS, seq, replicas, stream)
+        reference = np.sort((x - seq.center) / seq.scale)
+        np.testing.assert_array_equal(sample.values.view(np.uint64), reference.view(np.uint64))
+        if n == 2**18:
+            assert max(ties for _, ties in refs) >= 2
+
     @pytest.mark.parametrize("replicas", [1, 7, 100])
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_every_worker_count_matches_per_replica_substreams(self, workers, replicas):
-        # uneven splits, and more workers than replicas
+        # `workers` callers on their own threads share one stream; each call
+        # seats a generator of its own, so each matches the substreams
         seq = solve_normalizers(GAUSS, 50)
         stream = RngStream(3, 2)
-        reference = _uniform_minimum_reference(GAUSS, seq, stream, replicas)
-        sample = sample_normalized_max(GAUSS, seq, replicas, stream, workers=workers)
-        np.testing.assert_array_equal(sample.values.view(np.uint64), reference.view(np.uint64))
+        reference = _lane_sample_reference(GAUSS, seq, stream, replicas)
+        for values in _sample_on_threads(workers, GAUSS, seq, replicas, stream):
+            np.testing.assert_array_equal(values.view(np.uint64), reference.view(np.uint64))
 
     def test_threads_under_fast_switching(self):
-        # more threads than cores, switching every microsecond: every slot
-        # of the shared output is still written by its own range only
+        # more callers than cores, switching every microsecond: no call
+        # draws from another's generator state
         seq = solve_normalizers(GAUSS, 20)
         serial = sample_normalized_max(GAUSS, seq, 500, RngStream(9))
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            threaded = sample_normalized_max(GAUSS, seq, 500, RngStream(9), workers=8)
+            threaded = _sample_on_threads(8, GAUSS, seq, 500, RngStream(9))
         finally:
             sys.setswitchinterval(interval)
-        np.testing.assert_array_equal(threaded.values.view(np.uint64), serial.values.view(np.uint64))
+        for values in threaded:
+            np.testing.assert_array_equal(values.view(np.uint64), serial.values.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [3, 5, 10**4, 2**18])
+    def test_minima_lie_on_the_53_bit_grid(self, n):
+        k = _uniform_minima(RngStream(8), n, 100) * 2.0**53
+        assert np.array_equal(k, np.floor(k))
+        assert k.min() >= 1.0 and k.max() <= 2.0**53
+
+    def test_first_replicas_are_the_shorter_run(self):
+        # replica i depends on substream i only
+        stream = RngStream(3, 2)
+        full = _uniform_minima(stream, 50, 100)
+        for k in (1, 7):
+            np.testing.assert_array_equal(_uniform_minima(stream, 50, k).view(np.uint64), full[:k].view(np.uint64))
+
+    @pytest.mark.parametrize("n, replicas", [(3, 20_000), (10**4, 20_000), (2**16, 4000)])
+    def test_minima_follow_the_exact_finite_n_law(self, n, replicas):
+        # one-sample KS at the 1% level for both models; the minima do not
+        # depend on the model, so one draw serves both inversions
+        u = _uniform_minima(RngStream(22, 1), n, replicas)
+        for model in (GAUSS, EXPO):
+            seq = solve_normalizers(model, n)
+            x = (_solve_log_tail(model, np.log(u), -50.0, 50.0) - seq.center) / seq.scale
+            sample = EmpiricalSample.from_values(x)
+            assert ks_one_sample(sample, max_cdf(model, seq, sample.values)) <= ks_one_sample_critical(replicas)
+
+    def test_same_law_as_full_uniform_draws(self):
+        # two-sample KS at the 1% level against n full uniforms per replica,
+        # from independent stream ids
+        seq = solve_normalizers(GAUSS, 10**4)
+        sample = sample_normalized_max(GAUSS, seq, 5000, RngStream(23, 1))
+        reference = _full_uniform_reference(GAUSS, seq, RngStream(23, 2), 5000)
+        assert ks_two_sample(sample, reference) <= ks_two_sample_critical(5000, 5000, 1.63)
 
     def test_rejects_bad_arguments(self):
         seq = solve_normalizers(GAUSS, 10)
