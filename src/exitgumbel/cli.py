@@ -41,6 +41,7 @@ from .distributions import (
 from .errors import ExitGumbelError, NonFiniteResult
 from .evt import max_cdf, max_cdf_of_tail, sample_normalized_max, solve_normalizers
 from .exitsim import (
+    _MAX_GUARD_STEPS,
     MAX_STEP,
     ExitProblem,
     LinearDriftModel,
@@ -251,6 +252,12 @@ def cmd_exit_experiment(args) -> dict:
         )
     except ValueError as exc:  # the start -epsilon*a must lie inside the domain
         raise UsageError(f"--epsilon and --a: {exc}") from exc
+    steps = problem.guard_horizon / problem.step  # may be inf
+    if steps > _MAX_GUARD_STEPS:
+        raise UsageError(
+            f"--beta {args.beta:g} and --step {args.step:g} give a guard horizon of {steps:.3g} "
+            f"steps, more than the {_MAX_GUARD_STEPS} the exit kernel can tabulate"
+        )
     stream = RngStream(seed=args.seed)
     conditioned = sample_conditioned_exits(
         problem, args.n, stream, budget=args.budget, workers=args.workers
@@ -278,6 +285,7 @@ def cmd_exit_experiment(args) -> dict:
         "ks_statistic": ks,
         "ks_threshold": args.ks_threshold,
         "samples_file": str(samples_path),
+        "workers_used": conditioned.workers_used,
         "pass": bool(ks_ok),
     }
 

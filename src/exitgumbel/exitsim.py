@@ -20,8 +20,10 @@ for epsilon under shared noise.
 """
 from __future__ import annotations
 
+import contextlib
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, Optional
 
@@ -58,14 +60,21 @@ _NOISE_DECAY_TARGET = 1e-9
 
 # Largest integration step an ExitProblem accepts.
 MAX_STEP = 1e-2
+# Most fine steps a guard horizon may span for conditioned sampling: the
+# kernel's fine-step boundary tables take 16 bytes a step, ~270 MB at this
+# cap (A1 needs 44,606 steps).
+_MAX_GUARD_STEPS = 2**24
 
 _FOLLOWUP_CHUNK = 2048
 _MAX_CHUNK = 65536
-_BLOCK_ATTEMPTS = 2048
-# Conditioned sampling runs a block's attempts in lockstep batches of
-# _BATCH_ATTEMPTS, each on one substream. Noise is simulated at knots every
-# _COARSE fine steps, _ROUND knots per attempt per round (_batch_right_exits).
+# Conditioned sampling runs its attempts in blocks of one lockstep batch of
+# _BATCH_ATTEMPTS on one substream, in-process or, once its projected
+# in-process time left reaches _POOL_BREAK_EVEN_S seconds (about what
+# starting and feeding a process pool costs), in a pool; results never
+# depend on which. Noise is simulated at knots every _COARSE fine steps,
+# _ROUND knots per attempt per round (_batch_right_exits).
 _BATCH_ATTEMPTS = 1024
+_POOL_BREAK_EVEN_S = 0.2
 _COARSE = 64
 _ROUND = 16
 # Bound on the chance that an attempt stopped early would still have
@@ -200,11 +209,13 @@ class NoiseRealization:
 
 @dataclass(frozen=True)
 class ConditionedSample:
-    """Right-exit records kept by rejection, in attempt order."""
+    """Right-exit records kept by rejection, in attempt order, and the
+    number of processes that ran the attempts (1 when no pool started)."""
 
     records: tuple
     attempt_indices: tuple
     attempts: int
+    workers_used: int = field(default=1, compare=False)
 
     @property
     def acceptance_rate(self) -> float:
@@ -675,20 +686,13 @@ def _batch_right_exits(problem, stream, attempts, gen):
 
 
 def _conditioned_block(args):
-    """Right exits of attempts [start, stop) as (attempt, tau, normalized
-    time, steps) rows in attempt order. A batch that `stop` cuts runs whole,
-    so no attempt's noise depends on the budget. Stops after the batch in
-    which the block has found `need` of them: no later attempt can be among
-    the first `need` acceptances."""
-    problem, stream, start, stop, need = args
+    """Right exits of attempts [start, stop), one batch, as (attempt, tau,
+    normalized time, steps) rows in attempt order. A batch that `stop` cuts
+    runs whole, so no attempt's noise depends on the budget."""
+    problem, stream, start, stop = args
     gen = np.random.Generator(np.random.Philox(key=0))
-    hits = []
-    for lo in range(start, stop, _BATCH_ATTEMPTS):
-        batch = _batch_right_exits(problem, stream, range(lo, lo + _BATCH_ATTEMPTS), gen)
-        hits.extend(hit for hit in batch if hit[0] < stop)
-        if len(hits) >= need:
-            break
-    return hits
+    batch = _batch_right_exits(problem, stream, range(start, start + _BATCH_ATTEMPTS), gen)
+    return [hit for hit in batch if hit[0] < stop]
 
 
 def sample_conditioned_exits(
@@ -700,11 +704,18 @@ def sample_conditioned_exits(
 ) -> ConditionedSample:
     """Rejection-sample right-exit records until n_accept are kept.
 
-    The noise for attempt i depends only on (stream, i // _BATCH_ATTEMPTS),
-    and accepted records are returned in attempt order, so the result is
-    identical for every worker count and unexhausted budget: workers <= 1
-    runs the same blocks in-process, one at a time. Raises BudgetExceeded
-    when the attempt cap is (or is projected to be) insufficient, which
+    Attempts run in blocks of one batch of _BATCH_ATTEMPTS, in-process and
+    one at a time until the in-process time left reaches _POOL_BREAK_EVEN_S.
+    That time is projected as the seconds per block so far (0 before the
+    first block) times the blocks still needed for n_accept plus 4 standard
+    deviations at the limit acceptance rate. From then on, if workers > 1,
+    the blocks run in waves on a pool of `workers` processes, the first wave
+    covering those blocks and each later one half the last, down to
+    `workers` blocks. The noise for attempt i depends only on (stream,
+    i // _BATCH_ATTEMPTS), and accepted records are returned in attempt
+    order, so the result is identical for every worker count, whether a pool
+    ran or not, and for every unexhausted budget; only `workers_used` tells.
+    Raises BudgetExceeded when the attempt cap is (or is projected to be) insufficient, which
     signals that the right exit is too rare for rejection and the limit-law
     sampler should be used.
 
@@ -751,35 +762,32 @@ def sample_conditioned_exits(
             f"(limit acceptance rate {p_limit:.3g}); use limit_law_sample instead"
         )
 
-    max_blocks = int(math.ceil(budget / _BLOCK_ATTEMPTS))
-
-    def collect(run, wave_blocks: int) -> list:
-        """Right exits of waves of blocks, each wave mapped by `run`, until
-        n_accept are found; waves halve, down to `workers` blocks."""
-        hits, next_block = [], 0
+    max_blocks = int(math.ceil(budget / _BATCH_ATTEMPTS))
+    estimate = int(math.ceil((n_accept + 4.0 * math.sqrt(n_accept) + 16.0) / p_limit))
+    estimate_blocks = int(math.ceil(estimate / _BATCH_ATTEMPTS))
+    hits, next_block, wave_blocks = [], 0, 1
+    run, workers_used, started = map, 1, time.perf_counter()
+    with contextlib.ExitStack() as stack:  # shuts a pool down on every exit
         while len(hits) < n_accept:
             if next_block >= max_blocks:
                 raise BudgetExceeded(f"budget {budget} exhausted with {len(hits)} acceptances")
+            if workers_used < workers:  # no pool yet, and one may start
+                left = estimate_blocks - next_block
+                per_block = (time.perf_counter() - started) / next_block if next_block else 0.0
+                if per_block * left >= _POOL_BREAK_EVEN_S:
+                    from concurrent import futures  # here: an in-process run loads no executor
+
+                    run = stack.enter_context(futures.ProcessPoolExecutor(max_workers=workers)).map
+                    workers_used, wave_blocks = workers, max(workers, left)
             wave = range(next_block, min(next_block + wave_blocks, max_blocks))
-            need = n_accept - len(hits)
             tasks = [
-                (problem, stream, b * _BLOCK_ATTEMPTS, min((b + 1) * _BLOCK_ATTEMPTS, budget), need)
+                (problem, stream, b * _BATCH_ATTEMPTS, min((b + 1) * _BATCH_ATTEMPTS, budget))
                 for b in wave
             ]
             for block_hits in run(_conditioned_block, tasks):
                 hits.extend(block_hits)
             next_block = wave.stop
-            wave_blocks = max(workers, wave_blocks // 2)
-        return hits
-
-    if workers <= 1:
-        hits = collect(map, 1)
-    else:  # imported here: a serial run loads no executor modules
-        from concurrent import futures
-
-        estimate = int(math.ceil((n_accept + 4.0 * math.sqrt(n_accept) + 16.0) / p_limit))
-        with futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            hits = collect(pool.map, max(workers, int(math.ceil(estimate / _BLOCK_ATTEMPTS))))
+            wave_blocks = max(workers_used, wave_blocks // 2)
 
     records = []
     indices = []
@@ -789,5 +797,8 @@ def sample_conditioned_exits(
         )
         indices.append(attempt)
     return ConditionedSample(
-        records=tuple(records), attempt_indices=tuple(indices), attempts=indices[-1] + 1
+        records=tuple(records),
+        attempt_indices=tuple(indices),
+        attempts=indices[-1] + 1,
+        workers_used=workers_used,
     )

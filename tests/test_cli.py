@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from exitgumbel import (
     cli,
+    exitsim,
     exponential_tail_model,
     gaussian_tail_model,
     gnedenko_lhs,
@@ -459,6 +460,7 @@ class TestExitExperiment:
 
     def test_worker_count_changes_no_output(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core
+        monkeypatch.setattr(exitsim, "_POOL_BREAK_EVEN_S", 0.0)  # and at any size
         reports = {}
         for workers in (1, 2):
             out = tmp_path / f"w{workers}"
@@ -466,6 +468,7 @@ class TestExitExperiment:
             assert main([*argv, "--output-dir", str(out)]) == 0
             reports[workers] = _stdout_json(capsys)
             assert reports[workers]["config"].pop("workers") == workers
+            assert reports[workers].pop("workers_used") == workers
             assert reports[workers]["config"].pop("output_dir") == str(out)
             assert reports[workers].pop("samples_file") == str(out / "exit_samples.csv")
         assert reports[1] == reports[2]
@@ -499,6 +502,27 @@ class TestExitExperiment:
         assert code == 3
         assert err["error"]["type"] == "BudgetExceeded"
         assert "limit_law" in err["error"]["message"]
+
+    @pytest.mark.parametrize(
+        "flags, steps",
+        [
+            (["--beta", "1e-12"], "4.46e+16"),
+            (["--beta", "1e-300"], "4.46e+304"),
+            (["--beta", "5e-324"], "inf"),
+            (["--step", "1e-9"], "4.46e+10"),
+        ],
+    )
+    def test_untabulable_guard_horizon_is_usage_error(self, tmp_path, capsys, flags, steps):
+        # (ln(1/epsilon) + 40)/beta spans more fine steps than the kernel's
+        # tables may hold; refused before any sampling
+        code = main(["exit-experiment", "--n", "5", "--ks-threshold", "1", *flags, "--output-dir", str(tmp_path)])
+        err = _stdout_json(capsys)["error"]
+        assert code == 2
+        assert err["type"] == "UsageError"
+        assert "--beta" in err["message"] and "--step" in err["message"]
+        assert f" {steps} steps" in err["message"]
+        assert not err["message"].startswith("--epsilon")
+        assert not (tmp_path / "exit_samples.csv").exists()
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EXITGUMBEL_SEED", "777")
@@ -796,12 +820,32 @@ def _child_env() -> dict:
 
 
 def test_cli_import_loads_no_pool():
-    # exitsim imports concurrent.futures only when workers > 1
+    # exitsim imports concurrent.futures only when a pool starts
     code = "import sys, exitgumbel.cli; print(*sys.modules, sep='\\n')"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env(), timeout=120, check=True)
     loaded = set(proc.stdout.decode().split())
     assert "exitgumbel.cli" in loaded
     assert not loaded & {"concurrent.futures", "concurrent.futures.process", "concurrent.futures.thread", "multiprocessing"}
+
+
+def test_short_exit_run_loads_no_pool():
+    # block 0 alone holds the 20 right exits, so the run never projects
+    # enough work for a pool
+    code = (
+        "import json, os, sys, tempfile\n"
+        "os.cpu_count = lambda: 2\n"
+        "from exitgumbel.cli import main\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    argv = ['exit-experiment', '--n', '20', '--ks-threshold', '1', '--workers', '2', '--output-dir', out]\n"
+        "    assert main(argv) == 0\n"
+        "print(json.dumps(sorted(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=_child_env(), timeout=120, check=True)
+    *report, loaded = proc.stdout.decode().splitlines()
+    report = _strict("\n".join(report))
+    assert report["config"]["workers"] == 2
+    assert report["workers_used"] == 1
+    assert not set(json.loads(loaded)) & {"concurrent.futures", "concurrent.futures.process", "multiprocessing"}
 
 
 def _after_import(preset=None):

@@ -1,6 +1,7 @@
 """Exit-time simulation: integrators, conditioning, pathwise coupling,
 and the closed-form limit law."""
 import math
+import multiprocessing
 import re
 
 import numpy as np
@@ -326,27 +327,33 @@ class TestConditionedSampling:
         b = sample_conditioned_exits(p, 25, RngStream(11))
         assert a == b
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, monkeypatch):
+        monkeypatch.setattr(exitsim, "_POOL_BREAK_EVEN_S", 0.0)  # a pool at any size
         p = _problem()
         serial = sample_conditioned_exits(p, 30, RngStream(17), workers=1)
         for workers in (2, 3):
-            assert sample_conditioned_exits(p, 30, RngStream(17), workers=workers) == serial
+            pooled = sample_conditioned_exits(p, 30, RngStream(17), workers=workers)
+            assert pooled == serial
+            assert pooled.workers_used == workers
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_later_parallel_waves_match_serial(self, monkeypatch, workers):
         # an overstated acceptance rate sizes the first wave at `workers`
         # blocks, too few for n, so later waves must run
+        monkeypatch.setattr(exitsim, "_POOL_BREAK_EVEN_S", 0.0)
         p, n = _problem(), 600
         serial = sample_conditioned_exits(p, n, RngStream(17), workers=1)
-        assert serial.attempts > 3 * exitsim._BLOCK_ATTEMPTS
+        assert serial.attempts > 3 * exitsim._BATCH_ATTEMPTS
         monkeypatch.setattr(exitsim, "right_exit_probability", lambda beta, a: 0.9)
-        assert sample_conditioned_exits(p, n, RngStream(17), workers=workers) == serial
+        pooled = sample_conditioned_exits(p, n, RngStream(17), workers=workers)
+        assert pooled == serial
+        assert pooled.workers_used == workers
 
     def test_nonpositive_workers_run_in_process(self):
         p = _problem()
         n = 200  # more right exits than one block of attempts holds
         serial = sample_conditioned_exits(p, n, RngStream(17), workers=1)
-        assert serial.attempts > exitsim._BLOCK_ATTEMPTS
+        assert serial.attempts > exitsim._BATCH_ATTEMPTS
         for workers in (0, -3):
             assert sample_conditioned_exits(p, n, RngStream(17), workers=workers) == serial
 
@@ -366,7 +373,8 @@ class TestConditionedSampling:
         assert abs(cs.acceptance_rate - want) <= 3.0 * se
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_guard_exceeded_propagates(self, workers):
+    def test_guard_exceeded_propagates(self, monkeypatch, workers):
+        monkeypatch.setattr(exitsim, "_POOL_BREAK_EVEN_S", 0.0)
         p = _problem()
         object.__setattr__(p, "guard_horizon", 0.05)  # 50 steps: no attempt can decide
         with pytest.raises(GuardExceeded):
@@ -375,7 +383,7 @@ class TestConditionedSampling:
             sample_conditioned_exits(p, 5, RngStream(1), workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_budget_exhaustion(self, workers):
+    def test_budget_exhaustion(self, monkeypatch, workers):
         # The budget ends exactly at the sampler's own n-th right exit. n is
         # the smallest n >= 39 at which that budget is not refused by the
         # projection (n + 1)/p; re-derive it by that rule when the sample
@@ -385,21 +393,43 @@ class TestConditionedSampling:
         unbounded = sample_conditioned_exits(p, n, stream)
         budget = unbounded.attempts
         assert (n + 1) / right_exit_probability(1.0, 1.0) <= budget  # not refused by projection
+        monkeypatch.setattr(exitsim, "_POOL_BREAK_EVEN_S", 0.0)
         cs = sample_conditioned_exits(p, n, stream, budget=budget, workers=workers)
         assert cs == unbounded
+        assert cs.workers_used == workers
         with pytest.raises(BudgetExceeded, match=f"exhausted with {n}"):
             sample_conditioned_exits(p, n + 1, stream, budget=budget, workers=workers)
 
     @pytest.mark.parametrize("workers", [1, 2])
     @pytest.mark.parametrize("seed", [1, 3])
-    def test_budget_ending_mid_batch_keeps_the_records(self, seed, workers):
+    def test_budget_ending_mid_batch_keeps_the_records(self, monkeypatch, seed, workers):
         # A budget that cuts a batch of a later block must not change the
         # noise of the attempts before it: the cut batch still runs whole.
         p, n = _problem(), 300
         unbounded = sample_conditioned_exits(p, n, RngStream(seed))
         budget = unbounded.attempts
-        assert budget > exitsim._BLOCK_ATTEMPTS and budget % exitsim._BATCH_ATTEMPTS != 0
-        assert sample_conditioned_exits(p, n, RngStream(seed), budget=budget, workers=workers) == unbounded
+        assert budget > exitsim._BATCH_ATTEMPTS and budget % exitsim._BATCH_ATTEMPTS != 0
+        monkeypatch.setattr(exitsim, "_POOL_BREAK_EVEN_S", 0.0)
+        cut = sample_conditioned_exits(p, n, RngStream(seed), budget=budget, workers=workers)
+        assert cut == unbounded
+        assert cut.workers_used == workers
+
+    @pytest.mark.parametrize("error", [BudgetExceeded, GuardExceeded])
+    def test_failed_pool_run_leaves_no_worker(self, monkeypatch, error):
+        # The pool is entered lazily; it must still shut down when the run
+        # ends in an error, raised between waves or from inside one.
+        monkeypatch.setattr(exitsim, "_POOL_BREAK_EVEN_S", 0.0)
+        p, n = _problem(), 93
+        budget = sample_conditioned_exits(p, n - 1, RngStream(1)).attempts
+        if error is GuardExceeded:
+            object.__setattr__(p, "guard_horizon", 0.05)  # 50 steps: no attempt can decide
+        with pytest.raises(error):
+            sample_conditioned_exits(p, n, RngStream(1), budget=budget, workers=2)
+        assert multiprocessing.active_children() == []
+
+    def test_short_run_starts_no_pool(self):
+        # the first block alone holds the 30 right exits
+        assert sample_conditioned_exits(_problem(), 30, RngStream(17), workers=2).workers_used == 1
 
     def test_serial_stops_within_one_batch_of_last_acceptance(self, monkeypatch):
         simulated = []
