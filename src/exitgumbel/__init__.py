@@ -50,7 +50,6 @@ from .exitsim import (
     right_exit_probability,
     sample_conditioned_exits,
     sample_noise,
-    simulate_exit_euler,
     simulate_exit_exact,
     simulate_path,
     truncated_gaussian,

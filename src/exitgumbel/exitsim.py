@@ -5,7 +5,7 @@ the unstable equilibrium at 0, started at x0 = -epsilon*a, run to the first
 boundary exit. Exits through the right end oppose the drift and become
 exponentially rare as epsilon shrinks; this module provides
 
-* exact-transition and Euler-Maruyama integrators (exit at grid times),
+* the exact-transition integrator (exit at grid times),
 * rejection sampling of right-conditioned exits, simulated coarsely and
   refined by Brownian bridges only where a boundary may be crossed,
   reproducible for any worker count,
@@ -40,7 +40,6 @@ __all__ = [
     "NoiseRealization",
     "ConditionedSample",
     "simulate_exit_exact",
-    "simulate_exit_euler",
     "simulate_path",
     "sample_conditioned_exits",
     "sample_noise",
@@ -237,29 +236,33 @@ def _power_arrays(growth: float, size: int):
     return pos, neg
 
 
-def _max_chunk(growth: float) -> int:
-    """Longest chunk: 30/ln(g) steps keep g^k within e^30, clipped to
-    [16, _MAX_CHUNK]."""
-    return max(16, min(_MAX_CHUNK, int(30.0 / math.log(growth))))
-
-
 def _chunk_schedule(problem: ExitProblem, growth: float):
-    """First chunk sized to reach the typical exit depth in one pass."""
-    max_chunk = _max_chunk(growth)
+    """Chunk sizes (first, rest): the first reaches the typical exit depth in
+    one pass; none exceeds 30/ln(g) steps, which keeps g^k within e^30,
+    clipped to [16, _MAX_CHUNK]."""
+    max_chunk = max(16, min(_MAX_CHUNK, int(30.0 / math.log(growth))))
     target_time = max(problem.step, problem.centering_time + 2.0 / problem.model.beta)
     first = min(max_chunk, int(target_time / problem.step) + 16)
     return first, min(_FOLLOWUP_CHUNK, max_chunk)
 
 
-def _linear_chunks(y, growth, noise_scale, draw, total, first, rest):
-    """Y_1..Y_total of the recursion Y <- growth*Y + noise_scale*xi from
-    Y_0 = y, in Y = X/epsilon units, as consecutive chunks of `first`, then
-    `rest` steps (the last one shorter). Each chunk is evaluated in closed
-    form on xi = draw(size), Y_k = g^k * (Y_0 + s * sum_j g^-j xi_j),
-    identical to stepping in exact arithmetic. Stops early when `draw`
-    returns no values.
+def _exact_coefficients(problem: ExitProblem):
+    beta, h = problem.model.beta, problem.step
+    growth = math.exp(beta * h)
+    noise_scale = math.sqrt(math.expm1(2.0 * beta * h) / (2.0 * beta))
+    return growth, noise_scale
+
+
+def _exact_chunks(problem: ExitProblem, draw: Callable[[int], np.ndarray], total: int):
+    """Y_1..Y_total of the exact-step recursion Y <- g*Y + s*xi from
+    Y_0 = -a, in Y = X/epsilon units, in the chunks of `_chunk_schedule`
+    (the last one shorter). Each chunk is evaluated in closed form on
+    xi = draw(size), Y_k = g^k * (Y_0 + s * sum_j g^-j xi_j), identical to
+    stepping in exact arithmetic. Stops early when `draw` returns no values.
     """
-    size = first
+    growth, noise_scale = _exact_coefficients(problem)
+    size, rest = _chunk_schedule(problem, growth)
+    y = -problem.a
     while total > 0:
         xi = draw(min(size, total))
         if xi.size == 0:
@@ -272,19 +275,12 @@ def _linear_chunks(y, growth, noise_scale, draw, total, first, rest):
         size = rest
 
 
-def _run_linear_exit(
-    problem: ExitProblem,
-    growth: float,
-    noise_scale: float,
-    draw: Callable[[int], np.ndarray],
-) -> ExitRecord:
-    """First exit of the linear recursion from (-1, 1), shared by both
-    integrators and the noise replay; raises GuardExceeded without one."""
+def _run_linear_exit(problem: ExitProblem, draw: Callable[[int], np.ndarray]) -> ExitRecord:
+    """First exit of the exact-step recursion from (-1, 1), shared by the
+    sampler and the noise replay; raises GuardExceeded without one."""
     bound = problem.bound
-    first, followup = _chunk_schedule(problem, growth)
-    chunks = _linear_chunks(-problem.a, growth, noise_scale, draw, problem.guard_steps, first, followup)
     steps_done = 0
-    for ys in chunks:
+    for ys in _exact_chunks(problem, draw, problem.guard_steps):
         hit = np.abs(ys) >= bound
         if hit.any():
             k = int(np.argmax(hit))
@@ -303,18 +299,6 @@ def _run_linear_exit(
     )
 
 
-def _exact_coefficients(problem: ExitProblem):
-    beta, h = problem.model.beta, problem.step
-    growth = math.exp(beta * h)
-    noise_scale = math.sqrt(math.expm1(2.0 * beta * h) / (2.0 * beta))
-    return growth, noise_scale
-
-
-def _euler_coefficients(problem: ExitProblem):
-    beta, h = problem.model.beta, problem.step
-    return 1.0 + beta * h, math.sqrt(h)
-
-
 def simulate_exit_exact(problem: ExitProblem, rng) -> ExitRecord:
     """Simulate one exit with the exact Gaussian transition of the linear SDE.
 
@@ -322,31 +306,16 @@ def simulate_exit_exact(problem: ExitProblem, rng) -> ExitRecord:
     and stops at the first grid time with X outside (-1, 1). Raises
     GuardExceeded if no exit occurs before the guard horizon.
     """
-    gen = as_generator(rng)
-    growth, scale = _exact_coefficients(problem)
-    return _run_linear_exit(problem, growth, scale, gen.standard_normal)
-
-
-def simulate_exit_euler(problem: ExitProblem, rng) -> ExitRecord:
-    """Euler-Maruyama baseline: X(t+h) = X + beta*X*h + epsilon*sqrt(h)*xi.
-
-    Same contract as `simulate_exit_exact`, with O(h) weak bias; kept for
-    cross-validation of the exact-step integrator.
-    """
-    gen = as_generator(rng)
-    growth, scale = _euler_coefficients(problem)
-    return _run_linear_exit(problem, growth, scale, gen.standard_normal)
+    return _run_linear_exit(problem, as_generator(rng).standard_normal)
 
 
 def simulate_path(problem: ExitProblem, rng, n_steps: int) -> np.ndarray:
     """Exact-transition path of X at grid times 0..n_steps*h, not stopped
-    at the boundary. Diagnostic surface for law and coupling checks."""
+    at the boundary, on the normals and chunks `simulate_exit_exact` uses.
+    Diagnostic surface for law and coupling checks."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    gen = as_generator(rng)
-    growth, scale = _exact_coefficients(problem)
-    size = _max_chunk(growth)
-    chunks = _linear_chunks(-problem.a, growth, scale, gen.standard_normal, n_steps, size, size)
+    chunks = _exact_chunks(problem, as_generator(rng).standard_normal, n_steps)
     return problem.epsilon * np.concatenate([[-problem.a], *chunks])
 
 
@@ -424,8 +393,7 @@ def replay_exit_from_noise(problem: ExitProblem, noise: NoiseRealization) -> Exi
         cursor += chunk.size
         return chunk
 
-    growth, scale = _exact_coefficients(problem)
-    return _run_linear_exit(problem, growth, scale, draw)
+    return _run_linear_exit(problem, draw)
 
 
 def limit_normalized_time(noise: NoiseRealization, a: float) -> float:
@@ -615,15 +583,16 @@ def _bridge_fill(t, m, x, y, normals):
     return normals
 
 
-def _batch_right_exits(problem, stream, attempts, gen):
+def _batch_right_exits(problem, attempts, gen):
     """Right exits of a lockstep batch of attempts, in attempt order.
 
-    Row r runs attempt attempts[r], a whole aligned batch, on `gen` seated at
-    substream attempts.start // _BATCH_ATTEMPTS. Each round of _ROUND knots
-    draws I at the knots of all live rows at once. The intervals that
-    `_needs_refining` flags, up to the first knot that settles their attempt,
-    are filled by `_bridge_fill` from one draw for all of them (row-major)
-    and tested at every fine step, so a right exit keeps its fine-step index.
+    Row r runs attempt attempts[r], a whole aligned batch, on `gen`, the
+    generator of substream attempts.start // _BATCH_ATTEMPTS. Each round of
+    _ROUND knots draws I at the knots of all live rows at once. The
+    intervals that `_needs_refining` flags, up to the first knot that
+    settles their attempt, are filled by `_bridge_fill` from one draw for
+    all of them (row-major) and tested at every fine step, so a right exit
+    keeps its fine-step index.
     An attempt also leaves at a knot with Y <= -c (rejected, see
     `_rejection_depth`). Which rows receive a round's fresh normals depends
     only on earlier draws, so each attempt keeps the reference law.
@@ -632,7 +601,6 @@ def _batch_right_exits(problem, stream, attempts, gen):
     h, centering = problem.step, problem.centering_time
     intervals = t["start"].size
 
-    stream.seat(gen, attempts.start // _BATCH_ATTEMPTS)
     index = np.asarray(attempts)
     x0 = np.zeros(index.size)
     hits = []
@@ -690,8 +658,8 @@ def _conditioned_block(args):
     normalized time, steps) rows in attempt order. A batch that `stop` cuts
     runs whole, so no attempt's noise depends on the budget."""
     problem, stream, start, stop = args
-    gen = np.random.Generator(np.random.Philox(key=0))
-    batch = _batch_right_exits(problem, stream, range(start, start + _BATCH_ATTEMPTS), gen)
+    gen = stream.substream(start // _BATCH_ATTEMPTS)
+    batch = _batch_right_exits(problem, range(start, start + _BATCH_ATTEMPTS), gen)
     return [hit for hit in batch if hit[0] < stop]
 
 

@@ -1,4 +1,4 @@
-"""Exit-time simulation: integrators, conditioning, pathwise coupling,
+"""Exit-time simulation: the exact-step integrator, conditioning, pathwise coupling,
 and the closed-form limit law."""
 import math
 import multiprocessing
@@ -30,7 +30,6 @@ from exitgumbel import (
     right_exit_probability,
     sample_conditioned_exits,
     sample_noise,
-    simulate_exit_euler,
     simulate_exit_exact,
     simulate_path,
     truncated_gaussian,
@@ -76,12 +75,6 @@ class TestIntegrators:
         p = _problem()
         a = simulate_exit_exact(p, RngStream(99).substream(3))
         b = simulate_exit_exact(p, RngStream(99).substream(3))
-        assert a == b
-
-    def test_euler_deterministic(self):
-        p = _problem()
-        a = simulate_exit_euler(p, RngStream(99).substream(3))
-        b = simulate_exit_euler(p, RngStream(99).substream(3))
         assert a == b
 
     def test_record_consistency(self):
@@ -133,7 +126,7 @@ class TestIntegrators:
         "kw", [dict(), dict(model=LinearDriftModel(20.0), a=0.2)], ids=["a1", "beta20"]
     )
     def test_path_leaves_where_exact_sampler_exits(self, kw):
-        # same substream, same normals, different chunk sizes: the path
+        # same substream, same normals, same chunk schedule: the path
         # leaves (-1, 1) at the sampler's exit step and side
         p = _problem(**kw)
         stream = RngStream(31)
@@ -164,34 +157,6 @@ class TestIntegrators:
         var_t = eps * eps * math.expm1(2.0 * beta) / (2.0 * beta)
         assert abs(vals.mean() - mean_t) <= 4.0 * math.sqrt(var_t / n)
         assert abs(vals.var() - var_t) <= 4.0 * var_t * math.sqrt(2.0 / n)
-
-    def test_exact_vs_euler_same_law(self):
-        p = _problem()
-        ex = [
-            simulate_exit_exact(p, RngStream(42, 1).substream(i)).normalized_time
-            for i in range(10_000)
-        ]
-        eu = [
-            simulate_exit_euler(p, RngStream(42, 2).substream(i)).normalized_time
-            for i in range(10_000)
-        ]
-        ks = ks_two_sample(EmpiricalSample.from_values(ex), EmpiricalSample.from_values(eu))
-        assert ks <= 0.03
-
-    def test_euler_step_refinement_approaches_exact(self):
-        # common random numbers across step sizes
-        def rate(simulate, h):
-            p = ExitProblem(model=BETA1, epsilon=0.05, a=1.0, step=h)
-            stream = RngStream(7, 3)
-            n = 10_000
-            return (
-                sum(simulate(p, stream.substream(i)).side == "right" for i in range(n)) / n
-            )
-
-        reference = rate(simulate_exit_exact, 1e-3)
-        coarse = rate(simulate_exit_euler, 8e-3)
-        fine = rate(simulate_exit_euler, 4e-3)
-        assert abs(fine - reference) < abs(coarse - reference)
 
 
 class TestNoise:
@@ -435,9 +400,9 @@ class TestConditionedSampling:
         simulated = []
         kernel = exitsim._batch_right_exits
 
-        def counting(problem, stream, attempts, *buffers):
+        def counting(problem, attempts, gen):
             simulated.extend(attempts)
-            return kernel(problem, stream, attempts, *buffers)
+            return kernel(problem, attempts, gen)
 
         monkeypatch.setattr(exitsim, "_batch_right_exits", counting)
         cs = sample_conditioned_exits(_problem(), 30, RngStream(17), workers=1)
@@ -494,8 +459,8 @@ class TestBatchedKernel:
 
         kernel, refine, fill = exitsim._batch_right_exits, exitsim._needs_refining, exitsim._bridge_fill
 
-        def counting_kernel(problem, stream, attempts, gen):
-            return kernel(problem, stream, attempts, CountingGenerator(gen.bit_generator))
+        def counting_kernel(problem, attempts, gen):
+            return kernel(problem, attempts, CountingGenerator(gen.bit_generator))
 
         def counting_refine(t, lo, hi, prev, knots):
             events.append(("R", knots.size))
