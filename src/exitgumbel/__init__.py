@@ -62,7 +62,6 @@ from .residual import (
 from .stats import (
     EmpiricalSample,
     RngStream,
-    integrate_adaptive_simpson,
     ks_one_sample,
     ks_one_sample_critical,
     ks_two_sample,

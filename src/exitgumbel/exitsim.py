@@ -169,41 +169,34 @@ class ExitRecord:
 class NoiseRealization:
     """Discretized exponentially discounted noise integral on [0, T].
 
-    `values[k]` approximates the integral of exp(-beta*s) dW over [0, t_k];
+    `values[k]` approximates the integral of exp(-beta*s) dW over [0, k*step];
     the grid is long enough that the terminal value is an adequate proxy
     for the infinite-horizon limit (exp(-beta*T) <= 1e-9).
     """
 
     beta: float
-    times: np.ndarray
+    step: float
     values: np.ndarray
-    limit_value: float
-    sup_abs: float
 
     def __post_init__(self) -> None:
-        times = np.asarray(self.times, dtype=float)
         values = np.asarray(self.values, dtype=float)
-        if times.ndim != 1 or times.shape != values.shape or times.size < 2:
-            raise ValueError("times and values must be equal-length 1-d arrays")
-        if times[0] != 0.0 or values[0] != 0.0:
-            raise ValueError("grid and integral must start at 0")
-        steps = np.diff(times)
-        if not np.all(steps > 0):
-            raise ValueError("times must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("times must be uniformly spaced")
-        if self.beta * times[-1] < math.log(1.0 / _NOISE_DECAY_TARGET):
+        if values.ndim != 1 or values.size < 2 or values[0] != 0.0:
+            raise ValueError("values must be a 1-d array of at least 2 points, starting at 0")
+        if not self.step > 0.0:
+            raise ValueError(f"step must be positive, got {self.step}")
+        if self.beta * (self.step * (values.size - 1)) < math.log(1.0 / _NOISE_DECAY_TARGET):
             raise ValueError(
                 f"horizon too short: need exp(-beta*T) <= {_NOISE_DECAY_TARGET}"
             )
-        if self.sup_abs < abs(self.limit_value):
-            raise ValueError("sup_abs must dominate |limit_value|")
-        object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 
     @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
+    def times(self) -> np.ndarray:
+        return self.step * np.arange(self.values.size, dtype=float)
+
+    @property
+    def limit_value(self) -> float:
+        return float(self.values[-1])
 
 
 @dataclass(frozen=True)
@@ -338,16 +331,8 @@ def sample_noise(beta: float, step: float, rng) -> NoiseRealization:
         raise ValueError("beta and step must be positive")
     n = int(math.ceil(math.log(1.0 / _NOISE_DECAY_TARGET) / (beta * step))) + 1
     gen = as_generator(rng)
-    times = np.arange(n + 1, dtype=float) * step
-    increments = _increment_sds(beta, step, times[:-1]) * gen.standard_normal(n)
-    values = np.concatenate([[0.0], np.cumsum(increments)])
-    return NoiseRealization(
-        beta=beta,
-        times=times,
-        values=values,
-        limit_value=float(values[-1]),
-        sup_abs=float(np.max(np.abs(values))),
-    )
+    increments = _increment_sds(beta, step, step * np.arange(n, dtype=float)) * gen.standard_normal(n)
+    return NoiseRealization(beta=beta, step=step, values=np.concatenate([[0.0], np.cumsum(increments)]))
 
 
 def duhamel_exit_time(noise: NoiseRealization, problem: ExitProblem) -> ExitRecord:
@@ -418,7 +403,9 @@ def _truncated_gaussian_batch(r: float, gen: np.random.Generator, size: int) -> 
     else:
         # Shifted-exponential proposal (acceptance stays bounded away from 0
         # as r grows, where plain rejection collapses like tail(r)).
-        alpha = 0.5 * (r + math.sqrt(r * r + 4.0))
+        # Any alpha > 0 keeps the sampler exact. r*r overflows above ~1.34e154,
+        # so past 1e150 take alpha = r: there E/alpha is below ulp(r) anyway.
+        alpha = r if r > 1e150 else 0.5 * (r + math.sqrt(r * r + 4.0))
 
         def propose(need: int) -> np.ndarray:
             m = min(1_000_000, int(need * 1.8) + 16)
@@ -440,6 +427,8 @@ def truncated_gaussian(r: float, rng, size: Optional[int] = None):
 
     Returns a float when size is None, else an ndarray of that length.
     """
+    if not r < math.inf:
+        raise ValueError(f"threshold must be a number below +inf, got {r}")
     gen = as_generator(rng)
     if size is None:
         return float(_truncated_gaussian_batch(r, gen, 1)[0])

@@ -21,7 +21,6 @@ __all__ = [
     "ks_two_sample",
     "ks_one_sample_critical",
     "ks_two_sample_critical",
-    "integrate_adaptive_simpson",
     "FLOAT_FORMAT",
     "SAMPLE_CSV_HEADER",
     "CSV_BLOCK_ROWS",
@@ -162,53 +161,6 @@ def ks_one_sample_critical(n: int, coefficient: float = 1.63) -> float:
 def ks_two_sample_critical(n: int, m: int, coefficient: float = 1.36) -> float:
     """Two-sample critical value c*sqrt((n+m)/(n*m)); default c is the 5% point."""
     return coefficient * math.sqrt((n + m) / (n * m))
-
-
-def _simpson(f, a, fa, b, fb):
-    m = 0.5 * (a + b)
-    fm = f(m)
-    return m, fm, (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-
-
-_SIMPSON_PANELS = 16
-_SIMPSON_MIN_DEPTH = 3  # never accept before this many splits per panel
-_SIMPSON_MAX_DEPTH = 48  # accept a panel's estimate after this many splits, converged or not
-
-
-def integrate_adaptive_simpson(
-    f: Callable[[float], float],
-    a: float,
-    b: float,
-    tol: float = 1e-10,
-) -> float:
-    """Adaptive Simpson quadrature of f over [a, b].
-
-    The interval is pre-split into fixed panels and each panel is refined
-    a minimum number of times before the error estimate may accept, so
-    features narrower than the initial sampling are not silently skipped.
-    """
-    edges = np.linspace(a, b, _SIMPSON_PANELS + 1)
-    panel_tol = tol / _SIMPSON_PANELS
-    total = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        flo, fhi = f(lo), f(hi)
-        m, fm, whole = _simpson(f, lo, flo, hi, fhi)
-        total += _simpson_rec(
-            f, lo, flo, m, fm, hi, fhi, whole, panel_tol, _SIMPSON_MAX_DEPTH, _SIMPSON_MIN_DEPTH
-        )
-    return total
-
-
-def _simpson_rec(f, a, fa, m, fm, b, fb, whole, tol, depth, force):
-    lm, flm, left = _simpson(f, a, fa, m, fm)
-    rm, frm, right = _simpson(f, m, fm, b, fb)
-    delta = left + right - whole
-    if depth <= 0 or (force <= 0 and abs(delta) <= 15.0 * tol):
-        return left + right + delta / 15.0
-    half = tol / 2.0
-    return _simpson_rec(
-        f, a, fa, lm, flm, m, fm, left, half, depth - 1, force - 1
-    ) + _simpson_rec(f, m, fm, rm, frm, b, fb, right, half, depth - 1, force - 1)
 
 
 # CSV files of the package (exit samples, curves) are RFC-4180 (CRLF, header

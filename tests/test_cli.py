@@ -85,6 +85,16 @@ class TestIdentitySuite:
         report = _read_json(tmp_path / "identity_report.json")
         assert report["pass"] is False
 
+    def test_normalization_fails_for_a_scaled_density(self, tmp_path, capsys, monkeypatch):
+        density = cli.log_residual_density
+        monkeypatch.setattr(cli, "log_residual_density", lambda r, x: density(r, x) * (1.0 + 1e-7))
+        code = main(["identity-suite", "--output-dir", str(tmp_path)])
+        capsys.readouterr()
+        assert code == 1
+        report = _read_json(tmp_path / "identity_report.json")
+        failed = [row["check"] for row in report["checks"] if not row["pass"]]
+        assert failed == ["conditional-density-normalization"]
+
     def test_output_dir_under_a_file_is_runtime_error(self, tmp_path, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -22,10 +22,10 @@ from exitgumbel import (
     gumbel_cdf,
     gumbel_density,
     gumbel_identity_residual,
-    integrate_adaptive_simpson,
     log_residual_density,
     shifted_log_residual_density,
 )
+from exitgumbel.cli import _density_window_mass
 
 mp.mp.dps = 40
 
@@ -160,13 +160,12 @@ class TestConditionalDensity:
             assert log_residual_density(r, -500.0) == 0.0
 
     def test_normalization_by_simpson(self):
-        # own quadrature; window extended right because the upper tail only
-        # decays like exp(-x)
+        # the identity suite's trapezoid sum against the mpmath integral over
+        # the same window [-15, 25 + r], whose mass falls short of 1 by ~1e-11
         for r in (0.0, 1.0, 2.0, 5.0):
-            total = integrate_adaptive_simpson(
-                lambda x: log_residual_density(r, x), -15.0, 25.0 + r, tol=1e-10
-            )
-            assert abs(total - 1.0) <= 1e-8
+            window = mp.quad(lambda x: mp.npdf(mp.exp(-x) + r) * mp.exp(-x), [-15, 0, 25 + r])
+            want = float(window / mp.ncdf(-mp.mpf(r)))
+            assert abs(_density_window_mass(r) - want) <= 1e-14
 
     def test_normalization_by_mpmath(self):
         for r in (0.0, 1.0, 5.0):

@@ -163,19 +163,14 @@ class TestNoise:
     def test_shape_and_invariants(self):
         noise = sample_noise(1.0, 1e-3, RngStream(7).substream(0))
         assert noise.values[0] == 0.0
-        assert noise.sup_abs >= abs(noise.limit_value)
+        assert noise.limit_value == noise.values[-1]
+        assert noise.times.shape == noise.values.shape
         assert math.exp(-noise.beta * noise.times[-1]) <= 1e-9
         assert noise.step == pytest.approx(1e-3, rel=1e-12)
 
     def test_horizon_validation(self):
         with pytest.raises(ValueError):
-            NoiseRealization(
-                beta=1.0,
-                times=np.linspace(0.0, 5.0, 501),
-                values=np.zeros(501),
-                limit_value=0.0,
-                sup_abs=0.0,
-            )
+            NoiseRealization(beta=1.0, step=0.01, values=np.zeros(501))
 
     def test_limit_value_variance(self):
         # infinite-horizon limit is centered Gaussian with variance 1/(2*beta)
@@ -198,14 +193,7 @@ def _subcritical_noise(beta=1.0, step=1e-2, a=1.0, epsilon=0.01):
     n = int(math.ceil(math.log(1e9) / (beta * step))) + 2
     times = np.arange(n + 1) * step
     gap = np.minimum(a, (0.5 / epsilon) * np.exp(-beta * times))
-    values = a - gap
-    return NoiseRealization(
-        beta=beta,
-        times=times,
-        values=values,
-        limit_value=float(values[-1]),
-        sup_abs=float(np.max(np.abs(values))),
-    )
+    return NoiseRealization(beta=beta, step=step, values=a - gap)
 
 
 class TestPathwiseCoupling:
@@ -566,6 +554,20 @@ class TestTruncatedGaussian:
         want = 2.3732155328228408673
         sd = math.sqrt(1.0 + 2.0 * want - want * want)
         assert abs(draws.mean() - want) <= 3.0 * sd / 1000.0
+
+    def test_huge_thresholds_return(self):
+        # r*r overflows above ~1.34e154; the proposal rate must stay finite
+        for r in (1e160, 1e300, 1.7e308):
+            draws = truncated_gaussian(r, RngStream(56), size=100)
+            assert np.all(draws >= r)
+            assert truncated_gaussian(r, RngStream(57)) >= r
+
+    @pytest.mark.parametrize("r", [math.nan, math.inf])
+    def test_unattainable_threshold_raises(self, r):
+        with pytest.raises(ValueError):
+            truncated_gaussian(r, RngStream(58), size=10)
+        with pytest.raises(ValueError):
+            truncated_gaussian(r, RngStream(58))
 
     def test_vacuous_truncation_matches_gaussian(self):
         draws = truncated_gaussian(-10.0, RngStream(5), size=100_000)

@@ -1,4 +1,4 @@
-"""Empirical-distribution utilities, RNG streams, quadrature, CSV IO."""
+"""Empirical-distribution utilities, RNG streams, CSV IO."""
 import math
 import pickle
 
@@ -8,8 +8,6 @@ import pytest
 from exitgumbel import (
     EmpiricalSample,
     RngStream,
-    gaussian_pdf,
-    integrate_adaptive_simpson,
     ks_one_sample,
     ks_one_sample_critical,
     ks_two_sample,
@@ -149,24 +147,6 @@ class TestKsTwoSample:
         s1 = EmpiricalSample.from_values(gen.standard_normal(100))
         s2 = EmpiricalSample.from_values(gen.standard_normal(150) + 0.3)
         assert ks_two_sample(s1, s2) == ks_two_sample(s2, s1)
-
-
-class TestAdaptiveSimpson:
-    def test_polynomial_exact(self):
-        assert integrate_adaptive_simpson(lambda x: x * x, 0.0, 1.0) == pytest.approx(
-            1.0 / 3.0, abs=1e-12
-        )
-
-    def test_gaussian_mass(self):
-        total = integrate_adaptive_simpson(gaussian_pdf, -10.0, 10.0, tol=1e-12)
-        assert total == pytest.approx(1.0, abs=1e-10)
-
-    def test_sharp_peak(self):
-        # narrow bump forces recursion depth
-        total = integrate_adaptive_simpson(
-            lambda x: math.exp(-((x - 0.37) ** 2) / 2e-4), -1.0, 1.0, tol=1e-12
-        )
-        assert total == pytest.approx(math.sqrt(2.0 * math.pi * 1e-4), rel=1e-8)
 
 
 class TestSampleCsv:
