@@ -56,12 +56,14 @@ def _each(fn, x):
 
 def _where(cond, x, if_true, if_false):
     """`if_true(x)` where `cond` holds, else `if_false(x)`. For an array each
-    branch sees only its own elements, so neither runs where it would fail."""
+    branch sees only its own elements, so neither runs where it would fail,
+    and a branch with no elements does not run."""
     if not isinstance(x, np.ndarray):
         return if_true(x) if cond else if_false(x)
     out = np.empty_like(x)
-    out[cond] = if_true(x[cond])
-    out[~cond] = if_false(x[~cond])
+    for where, fn in ((cond, if_true), (~cond, if_false)):
+        if where.any():
+            out[where] = fn(x[where])
     return out
 
 
@@ -87,9 +89,14 @@ def gumbel_identity_residual(x: float) -> float:
     return lhs - gumbel_cdf(x)
 
 
+def _gaussian_log_pdf(x):
+    """log of the standard Gaussian density, -x^2/2 - log sqrt(2 pi)."""
+    return -0.5 * x * x - _LOG_SQRT_2PI
+
+
 def gaussian_pdf(x):
     """Standard Gaussian density."""
-    return _each(math.exp, -0.5 * x * x - _LOG_SQRT_2PI)
+    return _each(math.exp, _gaussian_log_pdf(x))
 
 
 def _mills_ratio(r):
@@ -122,7 +129,7 @@ def gaussian_log_tail(r):
         r <= _TAIL_SWITCH,
         r,
         lambda r: _each(math.log, gaussian_tail(r)),
-        lambda r: -0.5 * r * r - _LOG_SQRT_2PI + _each(math.log, _mills_ratio(r)),
+        lambda r: _gaussian_log_pdf(r) + _each(math.log, _mills_ratio(r)),
     )
 
 
@@ -199,15 +206,17 @@ class TailModel:
     """A distribution seen through its tail.
 
     Bundles a directly computed upper tail (never 1 - cdf), its exact
-    logarithm for deep-tail work, and the residual scaling function a(r)
-    that flattens the tail into exp(-x). The built-in models' tail and
-    log_tail take a float or a 1-d array.
+    logarithm for deep-tail work, the residual scaling function a(r)
+    that flattens the tail into exp(-x), and the log density, whose
+    difference with the log tail is the log tail's exact slope. The
+    built-in models' tail, log_tail and log_pdf take a float or a 1-d array.
     """
 
     name: str
     tail: Callable[[float], float]
     log_tail: Callable[[float], float]
     scaling_a: Callable[[float], float]
+    log_pdf: Callable[[float], float]
 
     def tail_ratio(self, numerator_at, denominator_at: float):
         """tail(numerator_at)/tail(denominator_at) in log space; `numerator_at`
@@ -222,6 +231,7 @@ def gaussian_tail_model() -> TailModel:
         tail=gaussian_tail,
         log_tail=gaussian_log_tail,
         scaling_a=_gaussian_scaling,
+        log_pdf=_gaussian_log_pdf,
     )
 
 
@@ -232,5 +242,6 @@ def exponential_tail_model() -> TailModel:
         tail=_exponential_tail,
         log_tail=_exponential_log_tail,
         scaling_a=lambda r: 1.0,
+        log_pdf=lambda x: _where(x > 0.0, x, lambda x: -x, lambda x: -math.inf),
     )
 

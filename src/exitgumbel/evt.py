@@ -1,6 +1,7 @@
 """Extreme-value side: normalizing sequences for Gaussian maxima, the
-tail-count criterion curves, and Monte Carlo block maxima, drawn on one
-thread from the top 16 bits of each uniform and the lanes tied at the top."""
+tail-count criterion curves, and Monte Carlo block maxima, each block's max
+drawn as a bitwise tournament over its lanes, replicas in batches, and all
+of them inverted by one Newton solve on the log tail."""
 from __future__ import annotations
 
 import math
@@ -22,7 +23,7 @@ __all__ = [
 ]
 
 _BRACKET_HIGH = 50.0
-_BISECT_WIDTH = 1e-3
+_LOW_BITS = np.array([2**64 - 1] + [2**j - 1 for j in range(1, 64)], np.uint64)  # the used bits of a last word
 _LOG_TAIL_TOL = 1e-13  # |log tail - log(1/n)|, i.e. ~relative error in tail space
 
 
@@ -65,38 +66,39 @@ def solve_normalizers(model: TailModel, n: int) -> NormalizingSequence:
 
 
 def _solve_log_tail(model: TailModel, target: np.ndarray, lo: float, hi: float) -> np.ndarray:
-    """Solve model.log_tail(x) = target for each element of `target` on a
-    bracket [lo, hi] with log_tail(lo) >= target >= log_tail(hi).
+    """Solve model.log_tail(x) = target <= 0 for each element of `target` on
+    a bracket [lo, hi] with log_tail(lo) >= target >= log_tail(hi).
 
-    Bisection down to a 1e-3 bracket, then safeguarded Newton on the
-    log-tail with a central-difference slope (nearly linear in x^2 for
-    Gaussian-like tails, so Newton is quadratic once bracketed). Each
-    element runs the scalar arithmetic on its own bracket and stops moving
-    once |log_tail(x) - target| <= 1e-13.
+    Newton on the log tail with its exact slope -exp(log_pdf - log_tail).
+    With L = -target it starts from the Gaussian asymptotic root
+    sqrt(2L - log(4 pi L)) where L > 2, else from sqrt(2L), where a
+    log-concave tail already lies below exp(-L). An element takes one last
+    step from the first iterate with |log_tail(x) - target| <= 1e-13, which
+    lands within rounding of the root, or stops where a step no longer
+    moves it. A step that leaves the bracket, or meets a zero density,
+    takes the bracket's midpoint instead, or stays put within tolerance.
+    Each element runs the scalar arithmetic (`math` calls per element).
     """
     lo = np.full(target.shape, lo)
     hi = np.full(target.shape, hi)
-    while (halving := hi - lo > _BISECT_WIDTH).any():
-        mid = 0.5 * (lo + hi)
-        up = model.log_tail(mid) - target >= 0.0
-        lo = np.where(halving & up, mid, lo)
-        hi = np.where(halving & ~up, mid, hi)
-
-    b = 0.5 * (lo + hi)
-    live = np.arange(b.size)  # the elements not yet within tolerance
+    L = -target
+    start = _where(L > 2.0, L, lambda L: 2.0 * L - _each(math.log, 4.0 * math.pi * L), lambda L: 2.0 * L)
+    b = np.clip(np.sqrt(start), lo, hi)
+    live = np.arange(b.size)  # the elements still moving
     for _ in range(40):
-        f = model.log_tail(b[live]) - target[live]
-        moving = np.abs(f) > _LOG_TAIL_TOL
-        live, f = live[moving], f[moving]
-        if live.size == 0:
-            break
         x = b[live]
+        log_tail = model.log_tail(x)
+        f = log_tail - target[live]
         lo[live] = l = np.where(f >= 0.0, np.maximum(lo[live], x), lo[live])
         hi[live] = h = np.where(f >= 0.0, hi[live], np.minimum(hi[live], x))
-        db = 1e-6 * np.maximum(1.0, np.abs(x))
-        slope = (model.log_tail(x + db) - model.log_tail(x - db)) / (2.0 * db)
-        candidate = x - np.divide(f, slope, out=np.zeros_like(f), where=slope != 0.0)
-        b[live] = np.where((l < candidate) & (candidate < h), candidate, 0.5 * (l + h))
+        density = _each(math.exp, model.log_pdf(x) - log_tail)  # pdf/tail, minus the slope
+        candidate = x + np.divide(f, density, out=np.full_like(f, np.nan), where=density > 0.0)
+        moving = np.abs(f) > _LOG_TAIL_TOL
+        fallback = np.where(moving, 0.5 * (l + h), x)  # an element within tolerance stays put
+        b[live] = np.where((l <= candidate) & (candidate <= h), candidate, fallback)
+        live = live[moving & (b[live] != x)]
+        if live.size == 0:
+            break
     return b
 
 
@@ -126,17 +128,21 @@ def sample_normalized_max(model: TailModel, seq: NormalizingSequence, replicas: 
 
     A draw is tail^-1(U) for a uniform U, and tail^-1 is decreasing, so the
     max of n draws is tail^-1 of the min of n uniforms (Devroye, Non-Uniform
-    Random Variate Generation, 1986). Replica i keeps u = 1 - max of seq.n
-    uniforms from substream i; one array solve inverts the tail for all.
-    A uniform is (T*2^37 + L)*2^-53, numpy's 53-bit grid, with T (16 bits)
-    and L (37 bits) uniform and independent; the max is decided by T, and
-    only the L of lanes tied at a = max T matter. So a replica draws all n
-    Ts, four 16-bit lanes to a Philox word (read little-endian on any host),
-    then one fresh word per tied lane (usually one) whose top 37 bits give
-    L. Those L are independent of the Ts, so u in (0, 1] has exactly the law
-    of 1 - max of n `Generator.random()` draws, not their values, for a
-    quarter of the Philox work; below n ~ 1e3 its extra numpy calls cost up
-    to ~5 us more per replica.
+    Random Variate Generation, 1986). Replica i keeps u = 1 - M*2^-53, with
+    M the max of seq.n uniform 53-bit lanes (numpy's `Generator.random()`
+    grid); one array solve inverts the tail for all.
+
+    M is revealed from its top bit down, a bitwise tournament: k, the lanes
+    tied with M's prefix, starts at n; each level draws one fresh bit per
+    tied lane, and if any is 1, M's next bit is 1 and the lanes holding a 1
+    stay tied, else M's next bit is 0 and k stays. Once one lane is left,
+    its remaining bits are the top bits of one fresh word. A tied lane's
+    next bit is a fair coin whatever came before, so u in (0, 1] has
+    exactly the law of 1 - max of n `random()` draws, not their values, for
+    about 2n random bits a block. Replicas run level by level in batches of
+    B = max(1, min(256, 2^22 // n)); batch floor(i / B) draws from its own
+    substream and always runs whole, so replica i depends only on
+    (seed, stream, n, i).
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
@@ -150,13 +156,32 @@ def sample_normalized_max(model: TailModel, seq: NormalizingSequence, replicas: 
 
 def _uniform_minima(stream: RngStream, n: int, replicas: int) -> np.ndarray:
     """u of replicas 0..replicas-1, drawn as `sample_normalized_max` says."""
-    gen = np.random.Generator(np.random.Philox(key=0))  # seated at each replica
-    words = -(-n // 4)
-    u = np.empty(replicas)
-    for i in range(replicas):
-        bits = stream.seat(gen, i).bit_generator
-        top = bits.random_raw(words).astype("<u8", copy=False).view("<u2")[:n]
-        a = int(top.max())
-        low = int(bits.random_raw(np.count_nonzero(top == a)).max()) >> 27
-        u[i] = (2**53 - ((a << 37) | low)) * 2.0**-53
-    return u
+    size = max(1, min(256, 2**22 // n))  # B: a level draws <= ~2^16 words a batch
+    gen = np.random.Generator(np.random.Philox(key=0))  # seated at each batch
+    batches = [_tournament(stream.seat(gen, b).bit_generator, n, size) for b in range(-(-replicas // size))]
+    return np.concatenate(batches)[:replicas]
+
+
+def _tournament(bits: np.random.BitGenerator, n: int, size: int) -> np.ndarray:
+    """u of one batch of `size` replicas: each level draws the tie bits of
+    every replica still tied, 64 to a word, in replica order, and then each
+    replica draws one word for its lone lane's remaining bits."""
+    top = np.zeros(size, np.uint64)  # the max's revealed bits, in place
+    depth = np.zeros(size, np.uint64)  # how many bits are revealed
+    live = np.arange(size if n > 1 else 0)  # the replicas still tied
+    k = np.full(live.size, n)  # lanes tied with each live replica's prefix
+    for level in range(53):
+        if live.size == 0:
+            break
+        words = (k + 63) >> 6
+        ends = np.cumsum(words)
+        raw = bits.random_raw(int(ends[-1]))
+        raw[ends - 1] &= _LOW_BITS[k & 63]
+        ones = np.add.reduceat(np.bitwise_count(raw, out=raw), ends - words)  # in place: no second n/64 words
+        hit = ones > 0
+        top[live[hit]] |= np.uint64(1 << (52 - level))
+        k[hit] = ones[hit]
+        depth[live] = level + 1
+        live, k = live[k > 1], k[k > 1]
+    top |= bits.random_raw(size) >> (depth + np.uint64(11))  # numpy shifts 64 bits to 0
+    return (np.uint64(2**53) - top) * 2.0**-53

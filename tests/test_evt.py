@@ -2,8 +2,11 @@
 import math
 import sys
 import threading
+import time
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -112,9 +115,9 @@ class TestSolveNormalizers:
             assert x.min() < 0.0
 
     def test_zero_slope_takes_the_bracket_midpoint(self):
-        # a flat log-tail gives a central-difference slope of 0: the Newton
-        # step falls back to bisection instead of dividing by zero
-        step = TailModel("step", None, lambda x: -np.floor(x), None)
+        # a flat log-tail has zero density, so its exact slope is 0: the
+        # Newton step falls back to bisection instead of dividing by zero
+        step = TailModel("step", None, lambda x: -np.floor(x), None, lambda x: np.full_like(x, -np.inf))
         x = _solve_log_tail(step, np.array([-0.5]), 0.0, 50.0)
         assert abs(x[0] - 1.0) <= 1e-3
 
@@ -126,6 +129,39 @@ class TestSolveNormalizers:
             ratios.append(seq.center / math.sqrt(2.0 * math.log(n)))
         assert all(b > a for a, b in zip(ratios, ratios[1:]))
         assert abs(ratios[-1] - 1.0) <= 0.15
+
+    @pytest.mark.parametrize("n", [3, 10**3, 10**4, 10**6, 10**9, 10**300])
+    def test_center_matches_a_40_digit_root(self, n):
+        # 1e300 puts the root near 37, past the continued-fraction switch at 8
+        with mpmath.workdps(40):
+
+            def gap(x):  # log tail(x) + log n
+                return mpmath.log(mpmath.erfc(x / mpmath.sqrt(2)) / 2) + mpmath.log(n)
+
+            root = mpmath.findroot(gap, math.sqrt(2 * math.log(n)))
+            assert abs(solve_normalizers(GAUSS, n).center - root) <= 1e-12
+        if n <= 10**9:
+            assert solve_normalizers(EXPO, n).center == math.log(n)
+
+    @pytest.mark.parametrize("model", [GAUSS, EXPO], ids=["gaussian", "exponential"])
+    def test_array_solve_is_each_one_element_solve(self, model):
+        # targets from log 1, where the exponential density is 0 at the
+        # root, down past the continued-fraction switch
+        target = np.concatenate([[0.0, -1e-300, -0.5], -np.random.Generator(np.random.Philox(5)).exponential(8.0, 300)])
+        x = _solve_log_tail(model, target, -50.0, 50.0)
+        assert np.max(np.abs(model.log_tail(x) - target)) <= 1e-13
+        each = np.array([_solve_log_tail(model, target[i : i + 1], -50.0, 50.0)[0] for i in range(target.size)])
+        np.testing.assert_array_equal(x.view(np.uint64), each.view(np.uint64))
+
+    @pytest.mark.parametrize("n", [10**3, 10**4, 10**6, 10**9])
+    def test_one_solve_takes_under_a_millisecond(self, n):
+        # the best of 5 calls, so a busy host does not fail it
+        best = math.inf
+        for _ in range(5):
+            start = time.perf_counter()
+            solve_normalizers(GAUSS, n)
+            best = min(best, time.perf_counter() - start)
+        assert best <= 1e-3
 
     def test_sequence_validation(self):
         with pytest.raises(ValueError):
@@ -190,18 +226,33 @@ class TestMaxCdf:
             assert abs(direct - via_count) <= 1e-6
 
 
-def _lane_reference(stream, n, i):
-    """Replica i's n lanes as 53-bit integers, rebuilt from substream i with
-    shifts: the top 16 bits of every lane, four to a Philox word from its
-    low end, then the top 37 bits of one fresh word OR-ed into each lane
-    tied at the top, in lane order. Also returns the number of tied lanes."""
-    bits = stream.substream(i).bit_generator
-    words = bits.random_raw(-(-n // 4))
-    top = (words[:, None] >> np.array([0, 16, 32, 48], dtype=np.uint64) & np.uint64(0xFFFF)).ravel()[:n]
-    lanes = top << np.uint64(37)
-    tied = top == top.max()
-    lanes[tied] |= bits.random_raw(int(tied.sum())) >> np.uint64(27)
-    return lanes, int(tied.sum())
+def _tournament_reference(stream, n, replicas):
+    """u of replicas 0..replicas-1 in plain Python: batch b of B(n) replicas
+    reads substream b. At each level every replica still tied, in replica
+    order, draws one bit per tied lane, 64 to a word from its low end; any
+    1 makes the max's next bit 1 and the lanes holding a 1 the tied ones.
+    Then each replica, in replica order, takes the bits its last level left
+    unrevealed from the top of one fresh word."""
+    size = max(1, min(256, 2**22 // n))
+    u = []
+    for b in range(-(-replicas // size)):
+        bits = stream.substream(b).bit_generator
+        top, depth, tied = [0] * size, [0] * size, [n] * size
+        for level in range(53):
+            live = [j for j in range(size) if tied[j] > 1]
+            if not live:
+                break
+            words = iter(bits.random_raw(sum(-(-tied[j] // 64) for j in live)).tolist())
+            for j in live:
+                ones = sum((next(words) & (2 ** min(left, 64) - 1)).bit_count() for left in range(tied[j], 0, -64))
+                if ones:
+                    top[j] |= 1 << (52 - level)
+                    tied[j] = ones
+                depth[j] = level + 1
+        for j, word in enumerate(bits.random_raw(size).tolist()):
+            top[j] |= word >> (11 + depth[j])
+        u += [(2**53 - t) * 2.0**-53 for t in top]
+    return np.array(u[:replicas])
 
 
 def _full_uniform_reference(model, seq, stream, replicas):
@@ -212,14 +263,11 @@ def _full_uniform_reference(model, seq, stream, replicas):
     return EmpiricalSample.from_values((x - seq.center) / seq.scale)
 
 
-def _lane_sample_reference(model, seq, stream, replicas):
+def _tournament_sample_reference(model, seq, stream, replicas):
     """Each replica solved on its own: the one-element inversion of the
-    minimum rebuilt by `_lane_reference` from substream i, sorted."""
-    x = []
-    for i in range(replicas):
-        lanes, _ = _lane_reference(stream, seq.n, i)
-        u = np.array([(2**53 - int(lanes.max())) * 2.0**-53])
-        x.append(_solve_log_tail(model, np.log(u), -50.0, 50.0)[0])
+    minimum rebuilt by `_tournament_reference`, sorted."""
+    u = _tournament_reference(stream, seq.n, replicas)
+    x = [_solve_log_tail(model, np.log(u[i : i + 1]), -50.0, 50.0)[0] for i in range(replicas)]
     return np.sort((np.array(x) - seq.center) / seq.scale)
 
 
@@ -276,18 +324,18 @@ class TestNormalizedMaxSampling:
     @pytest.mark.parametrize("n", [3, 50, 10**4])
     def test_max_of_inverted_draws_is_the_inverted_minimum(self, model, n):
         # pathwise: tail^-1 is decreasing, so inverting each of a block's
-        # uniforms and taking the max gives tail^-1 of their minimum, the
-        # replica the sampler keeps
+        # uniforms and taking the max gives tail^-1 of their minimum; the
+        # sampler keeps that inversion of its own block's minimum
         seq = solve_normalizers(model, n)
         stream = RngStream(11, 4)
         sampled = sample_normalized_max(model, seq, 5, stream).values
-        for i in range(5):
-            lanes, _ = _lane_reference(stream, n, i)
-            u = (np.uint64(2**53) - lanes).astype(float) * 2.0**-53
+        for i, minimum in enumerate(_tournament_reference(stream, n, 5)):
+            u = 1.0 - stream.substream(1000 + i).random(n)
             each = _solve_log_tail(model, np.log(u), -50.0, 50.0)
             of_min = _solve_log_tail(model, np.log(np.array([u.min()])), -50.0, 50.0)[0]
             assert abs(each.max() - of_min) <= 1e-12
-            assert (of_min - seq.center) / seq.scale in sampled
+            kept = _solve_log_tail(model, np.log(np.array([minimum])), -50.0, 50.0)[0]
+            assert (kept - seq.center) / seq.scale in sampled
 
     @pytest.mark.parametrize("n", [10, 1000])
     def test_same_law_as_the_max_of_normals(self, n):
@@ -298,31 +346,33 @@ class TestNormalizedMaxSampling:
         reference = _normal_block_reference(seq, RngStream(21, 2), 20_000)
         assert ks_two_sample(sample, reference) <= ks_two_sample_critical(20_000, 20_000, 1.63)
 
-    @pytest.mark.parametrize("n, replicas", [(3, 10), (4, 10), (5, 10), (2**18, 4)])
+    @pytest.mark.parametrize(
+        "n, replicas",
+        [(3, 10), (4, 10), (5, 10), (2**18, 4), (63, 10), (64, 10), (65, 10)]
+        + [(50, 1), (50, 255), (50, 256), (50, 257), (2**15, 129), (2**22 + 1, 2)],
+    )
     def test_replicas_match_the_lane_reference(self, n, replicas):
-        # n = 3, 4, 5 end inside, at and past one Philox word's four lanes;
-        # at n = 2^18 (four lanes per 16-bit value) the top is usually tied
+        # n = 63, 64, 65 end inside, at and past one word of tie bits; at
+        # n = 50 (B = 256) the replicas end inside, at and past a batch, and
+        # B is 128 at n = 2^15 and 1 at n = 2^22 + 1
         seq = solve_normalizers(GAUSS, n)
         stream = RngStream(3, 2)
-        refs = [_lane_reference(stream, n, i) for i in range(replicas)]
-        u = np.array([(2**53 - int(lanes.max())) * 2.0**-53 for lanes, _ in refs])
+        u = _tournament_reference(stream, n, replicas)
         np.testing.assert_array_equal(_uniform_minima(stream, n, replicas).view(np.uint64), u.view(np.uint64))
         # each replica inverted on its own, as one-element solves
         x = np.array([_solve_log_tail(GAUSS, np.log(u[i : i + 1]), -50.0, 50.0)[0] for i in range(replicas)])
         sample = sample_normalized_max(GAUSS, seq, replicas, stream)
         reference = np.sort((x - seq.center) / seq.scale)
         np.testing.assert_array_equal(sample.values.view(np.uint64), reference.view(np.uint64))
-        if n == 2**18:
-            assert max(ties for _, ties in refs) >= 2
 
     @pytest.mark.parametrize("replicas", [1, 7, 100])
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_every_worker_count_matches_per_replica_substreams(self, workers, replicas):
         # `workers` callers on their own threads share one stream; each call
-        # seats a generator of its own, so each matches the substreams
+        # seats a generator of its own, so each matches the batch substreams
         seq = solve_normalizers(GAUSS, 50)
         stream = RngStream(3, 2)
-        reference = _lane_sample_reference(GAUSS, seq, stream, replicas)
+        reference = _tournament_sample_reference(GAUSS, seq, stream, replicas)
         for values in _sample_on_threads(workers, GAUSS, seq, replicas, stream):
             np.testing.assert_array_equal(values.view(np.uint64), reference.view(np.uint64))
 
@@ -347,10 +397,11 @@ class TestNormalizedMaxSampling:
         assert k.min() >= 1.0 and k.max() <= 2.0**53
 
     def test_first_replicas_are_the_shorter_run(self):
-        # replica i depends on substream i only
+        # replica i depends only on its batch floor(i / 256) at n = 50, and
+        # a batch always runs whole
         stream = RngStream(3, 2)
-        full = _uniform_minima(stream, 50, 100)
-        for k in (1, 7):
+        full = _uniform_minima(stream, 50, 600)
+        for k in (1, 7, 255, 256, 257):
             np.testing.assert_array_equal(_uniform_minima(stream, 50, k).view(np.uint64), full[:k].view(np.uint64))
 
     @pytest.mark.parametrize("n, replicas", [(3, 20_000), (10**4, 20_000), (2**16, 4000)])
@@ -363,6 +414,25 @@ class TestNormalizedMaxSampling:
             x = (_solve_log_tail(model, np.log(u), -50.0, 50.0) - seq.center) / seq.scale
             sample = EmpiricalSample.from_values(x)
             assert ks_one_sample(sample, max_cdf(model, seq, sample.values)) <= ks_one_sample_critical(replicas)
+
+    @pytest.mark.parametrize("n", [3, 64, 65])
+    def test_minima_follow_the_law_of_the_minimum_of_n_uniforms(self, n):
+        # one-sample KS at the 1% level against P{u <= x} = 1 - (1 - x)^n;
+        # the tie bits of n = 64 fill one word, those of n = 65 a second
+        u = EmpiricalSample.from_values(_uniform_minima(RngStream(24, 1), n, 20_000))
+        cdf = -np.expm1(n * np.log1p(-u.values))
+        assert ks_one_sample(u, cdf) <= ks_one_sample_critical(20_000)
+
+    def test_a_huge_block_draws_its_tie_bits_in_words(self):
+        # at n = 2^26 a level holds n/64 words, where n/4 words of 16-bit
+        # lanes took 128 MB
+        tracemalloc.start()
+        try:
+            _uniform_minima(RngStream(25), 2**26, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_same_law_as_full_uniform_draws(self):
         # two-sample KS at the 1% level against n full uniforms per replica,
