@@ -11,8 +11,8 @@ exponentially rare as epsilon shrinks; this module provides
   reproducible for any worker count,
 * the pathwise exit-time construction driven by a realization of the
   exponentially discounted noise integral, and
-* the closed-form limit law of the normalized exit time together with a
-  truncated-Gaussian sampler for it.
+* the limit law of the normalized exit time, `residual.log_residual_cdf`
+  through one map (beta, a) -> (r, c), and a truncated-Gaussian sampler.
 
 All simulations run in units of the noise amplitude (Y = X/epsilon),
 which makes the path for epsilon' = c*epsilon exactly c times the path
@@ -29,8 +29,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .distributions import _each, _where, gaussian_log_tail, gaussian_tail
+from .distributions import gaussian_tail, gaussian_tail_model
 from .errors import BudgetExceeded, GuardExceeded
+from .residual import log_residual_cdf
 from .stats import RngStream, as_generator
 
 __all__ = [
@@ -390,7 +391,15 @@ def limit_normalized_time(noise: NoiseRealization, a: float) -> float:
     return -math.log(gap) / noise.beta
 
 
-def _truncated_gaussian_batch(r: float, gen: np.random.Generator, size: int) -> np.ndarray:
+def _truncated_gaussian_batch(r: float, rng, size: Optional[int], origin: float = 0.0) -> np.ndarray:
+    """N - origin for `size` (1 when None) Gaussians N given N > r; origin = r
+    draws the increment itself, positive however large r is."""
+    if not r < math.inf:
+        raise ValueError(f"threshold must be a number below +inf, got {r}")
+    size = 1 if size is None else size
+    if size < 0:
+        raise ValueError("size must be >= 0")
+    gen = as_generator(rng)
     if r < 1.0:
         # Plain rejection from the untruncated Gaussian; acceptance is
         # tail(r) >= tail(1) ~ 0.159 on this branch.
@@ -398,7 +407,7 @@ def _truncated_gaussian_batch(r: float, gen: np.random.Generator, size: int) -> 
 
         def propose(need: int) -> np.ndarray:
             draws = gen.standard_normal(min(1_000_000, int(need / accept_rate * 1.25) + 16))
-            return draws[draws > r]
+            return draws[draws > r] - origin
 
     else:
         # Shifted-exponential proposal (acceptance stays bounded away from 0
@@ -409,8 +418,8 @@ def _truncated_gaussian_batch(r: float, gen: np.random.Generator, size: int) -> 
 
         def propose(need: int) -> np.ndarray:
             m = min(1_000_000, int(need * 1.8) + 16)
-            z = r + gen.standard_exponential(m) / alpha
-            return z[np.log(gen.random(m)) <= -0.5 * (z - alpha) ** 2]
+            z = (r - origin) + gen.standard_exponential(m) / alpha
+            return z[np.log(gen.random(m)) <= -0.5 * (z + origin - alpha) ** 2]
 
     out = np.empty(size, dtype=float)
     filled = 0
@@ -423,52 +432,37 @@ def _truncated_gaussian_batch(r: float, gen: np.random.Generator, size: int) -> 
 
 
 def truncated_gaussian(r: float, rng, size: Optional[int] = None):
-    """Draw from the standard Gaussian conditioned on exceeding r.
-
-    Returns a float when size is None, else an ndarray of that length.
-    """
-    if not r < math.inf:
-        raise ValueError(f"threshold must be a number below +inf, got {r}")
-    gen = as_generator(rng)
-    if size is None:
-        return float(_truncated_gaussian_batch(r, gen, 1)[0])
-    if size < 0:
-        raise ValueError("size must be >= 0")
-    return _truncated_gaussian_batch(r, gen, size)
+    """Draw from the standard Gaussian conditioned on exceeding r: a float when
+    size is None, else an ndarray of that length."""
+    z = _truncated_gaussian_batch(r, rng, size)
+    return float(z[0]) if size is None else z
 
 
 def _limit_law_parameters(beta: float, a: float):
-    if beta <= 0.0 or a <= 0.0:
-        raise ValueError("beta and a must be positive")
-    return a * math.sqrt(2.0 * beta)
+    """(beta, a) -> (r, c) = (a*sqrt(2 beta), ln(2 beta)/2): the normalized exit
+    time is (Y + c)/beta with Y = -ln(N - r) the Gaussian log residual at r."""
+    if not (0.0 < beta < math.inf and 0.0 < a < math.inf):
+        raise ValueError(f"beta and a must be positive and finite, got beta={beta}, a={a}")
+    return a * math.sqrt(2.0 * beta), 0.5 * math.log(2.0 * beta)
 
 
 def limit_law_sample(beta: float, a: float, rng, size: Optional[int] = None):
-    """Sample the limit law of the right-conditioned normalized exit time:
-    -(1/beta)*ln(N - r) + ln(2 beta)/(2 beta) with N Gaussian given N > r,
-    r = a*sqrt(2 beta)."""
-    r = _limit_law_parameters(beta, a)
-    n = truncated_gaussian(r, rng, size)
-    shift = math.log(2.0 * beta) / (2.0 * beta)
-    if size is None:
-        return -math.log(n - r) / beta + shift
-    return -np.log(n - r) / beta + shift
+    """Sample the limit law of the right-conditioned normalized exit time,
+    (Y + c)/beta with Y = -ln(N - r) and (r, c) from `_limit_law_parameters`."""
+    r, c = _limit_law_parameters(beta, a)
+    x = (c - np.log(_truncated_gaussian_batch(r, rng, size, origin=r))) / beta
+    return float(x[0]) if size is None else x
 
 
 def limit_law_cdf(beta: float, a: float, x):
     """Distribution function of the limit law at x, a float or an array."""
-    r = _limit_law_parameters(beta, a)
-
-    def cdf(x):
-        arg = r + math.sqrt(2.0 * beta) * _each(math.exp, -beta * x)
-        return _where(arg > 300.0, arg, lambda arg: 0.0, lambda arg: _each(math.exp, gaussian_log_tail(arg) - gaussian_log_tail(r)))
-
-    return _where(beta * x < -690.0, x, lambda x: 0.0, cdf)
+    r, c = _limit_law_parameters(beta, a)
+    return log_residual_cdf(gaussian_tail_model(), r, beta * x - c)
 
 
 def right_exit_probability(beta: float, a: float) -> float:
     """Small-noise limit of the right-exit probability: tail(a*sqrt(2 beta))."""
-    r = _limit_law_parameters(beta, a)
+    r, _ = _limit_law_parameters(beta, a)
     return gaussian_tail(r)
 
 

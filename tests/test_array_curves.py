@@ -21,6 +21,7 @@ from exitgumbel import (
     gnedenko_lhs,
     gumbel_cdf,
     gumbel_density,
+    limit_law_cdf,
     log_residual_cdf,
     log_residual_density,
     max_cdf,
@@ -35,9 +36,11 @@ GAUSS = gaussian_tail_model()
 EXP = exponential_tail_model()
 SWITCH = [8.0, float(np.nextafter(8.0, -np.inf)), float(np.nextafter(8.0, np.inf))]
 # The cut-offs of the masked branches: the Gumbel underflow at -700, the
-# density's -350 and -745, the log-residual CDF's -700, and both sides of each.
+# density's -350 and -745, the log-residual CDF's -354, and both sides of each.
 CUTOFFS = [
-    c for x in (-745.0, -700.0, -350.0) for c in (x, float(np.nextafter(x, -np.inf)), float(np.nextafter(x, np.inf)))
+    c
+    for x in (-745.0, -700.0, -354.0, -350.0)
+    for c in (x, float(np.nextafter(x, -np.inf)), float(np.nextafter(x, np.inf)))
 ]
 
 radii = st.lists(
@@ -107,6 +110,24 @@ def test_residual_curves(r, xs):
         assert_bitwise(lambda x: scaled_residual(model, r, x), pos)
         assert_bitwise(lambda x: log_residual_cdf(model, r, x), xs)
         assert_bitwise(lambda x: shifted_log_residual_cdf(model, r, x), xs)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    beta=st.floats(0.05, 20.0),
+    a=st.floats(0.05, 300.0),
+    ys=st.lists(st.one_of(st.floats(-380.0, -330.0), st.floats(-10.0, 30.0), st.sampled_from(CUTOFFS)), min_size=1, max_size=60),
+)
+@example(beta=1.0, a=250.0, ys=CUTOFFS)
+def test_limit_law_cdf(beta, a, ys):
+    # x on both sides of beta*x - ln(2 beta)/2 = -354, the log-residual
+    # CDF's cut-off; no errstate here, so an overflow warning fails the test
+    c = 0.5 * math.log(2.0 * beta)
+    xs = np.array([(y + c) / beta for y in ys])
+    got = limit_law_cdf(beta, a, xs)
+    want = np.array([limit_law_cdf(beta, a, float(x)) for x in xs])
+    assert isinstance(got, np.ndarray) and got.shape == xs.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("n", [3, 1000, 10**9])

@@ -3,7 +3,9 @@ and the closed-form limit law."""
 import math
 import multiprocessing
 import re
+import warnings
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -431,6 +433,23 @@ class TestBatchedKernel:
         se = math.sqrt(pooled * (1.0 - pooled) * (1.0 / got.attempts + 1.0 / attempts))
         assert abs(got.acceptance_rate - n / attempts) <= 3.0 * se
 
+    @pytest.mark.parametrize("name", ["a1", "steep", "slow", "narrow"])
+    def test_noise_tables_follow_the_variance_clock(self, name):
+        # The knot increments' variances must add up to the clock
+        # V(k) = (1 - e^(-2 beta h k))/(2 beta) at every knot, and one
+        # interval's fine-step noise variances to its bridge clock
+        # (1 - g^-2i)/(2 beta); any error in the noise scale breaks both.
+        # slow: beta = 0.25 at the largest step, h = 1e-2.
+        kw = {**self.PROBLEMS, "slow": dict(model=LinearDriftModel(0.25), step=1e-2)}[name]
+        p = _problem(**kw)
+        t = exitsim._coarse_tables(p)
+        beta, h = p.model.beta, p.step
+        clock = -np.expm1(-2.0 * beta * h * (t["start"] + t["length"])) / (2.0 * beta)
+        np.testing.assert_allclose(np.cumsum(t["knot_sd"] ** 2), clock, rtol=1e-13, atol=0.0)
+        bridge = -np.expm1(-2.0 * beta * h * np.arange(1, exitsim._COARSE + 1)) / (2.0 * beta)
+        np.testing.assert_allclose(t["bridge_var"] / (2.0 * beta), bridge, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(np.cumsum(t["step_noise"] ** 2), bridge, rtol=1e-13, atol=0.0)
+
     @pytest.mark.parametrize("name", ["a1", "narrow"])
     def test_one_knot_draw_and_at_most_one_fine_draw_per_round(self, monkeypatch, name):
         # Events per round: K, the knot draw, and R, the refine test over the
@@ -603,22 +622,42 @@ class TestLimitLaw:
 
     @pytest.mark.parametrize("beta, a", [(1.0, 1.0), (20.0, 0.2), (0.25, 2.0)])
     def test_cdf_of_an_array_matches_each_value(self, beta, a):
-        # both branches that return 0 (beta*x < -690 and an argument above
-        # 300) and the tail ratio, with the KS statistic of the values
+        # both sides of the log-residual cut-off beta*x - c = -354, far left
+        # of it and the tail ratio, with the KS statistic of the values
+        c = 0.5 * math.log(2.0 * beta)
         x = np.sort(np.concatenate([
             np.linspace(-800.0 / beta, -600.0 / beta, 41),
+            (np.linspace(-360.0, -348.0, 41) + c) / beta,
             np.linspace(-10.0, 30.0, 2001),
             limit_law_sample(beta, a, RngStream(9), size=500),
         ]))
         each = np.array([limit_law_cdf(beta, a, float(v)) for v in x])
         whole = limit_law_cdf(beta, a, x)
         assert (whole == 0.0).any() and ((whole > 0.0) & (whole < 1.0)).any()
-        inside = x[beta * x >= -690.0]
-        assert inside.size < x.size
-        assert (a * math.sqrt(2.0 * beta) + math.sqrt(2.0 * beta) * np.exp(-beta * inside) > 300.0).any()
+        y = beta * x - c
+        assert (y < -354.0).any() and ((y >= -354.0) & (y < -348.0)).any()
         assert np.array_equal(whole, each)
         sample = EmpiricalSample.from_values(x)
         assert ks_one_sample(sample, whole) == ks_one_sample(sample, lambda v: limit_law_cdf(beta, a, v))
+
+    @pytest.mark.parametrize(
+        "beta, a, tol",
+        [(1.0, 1.0, 2e-13), (20.0, 0.2, 2e-13), (0.25, 1.0, 2e-13), (1.0, 6.0, 2e-13), (1.0, 20.0, 2e-13),
+         (1.0, 250.0, 1e-10), (1.0, 300.0, 1e-10)],
+    )
+    def test_cdf_against_mpmath(self, beta, a, tol):
+        # tail(r + sqrt(2 beta) e^(-beta x))/tail(r) at 60 digits; at a = 250
+        # and 300, r = a*sqrt(2 beta) lies past any fixed cut on the argument
+        with mp.workdps(60):
+            s2b = mp.sqrt(2 * mp.mpf(beta))
+            r = mp.mpf(a) * s2b
+
+            def exact(x):
+                return mp.erfc((r + s2b * mp.exp(-mp.mpf(beta) * mp.mpf(x))) / mp.sqrt(2)) / mp.erfc(r / mp.sqrt(2))
+
+            xs = np.linspace(-3.0, 12.0, 61)
+            errors = [abs(mp.mpf(limit_law_cdf(beta, a, float(x))) - exact(float(x))) for x in xs]
+        assert float(max(errors)) <= tol
 
     def test_cdf_derivative_matches_density(self):
         # chain rule: the limit-law density is beta * p(r, beta*x - ln(2 beta)/2)
@@ -649,3 +688,23 @@ class TestLimitLaw:
             limit_law_cdf(0.0, 1.0, 0.0)
         with pytest.raises(ValueError):
             limit_law_sample(1.0, -1.0, RngStream(1))
+        for beta, a in [(math.nan, 1.0), (1.0, math.nan), (math.inf, 1.0), (1.0, math.inf), (-1.0, 1.0), (1.0, 0.0)]:
+            with pytest.raises(ValueError):
+                limit_law_cdf(beta, a, 0.0)
+            with pytest.raises(ValueError):
+                limit_law_sample(beta, a, RngStream(1), size=3)
+            with pytest.raises(ValueError):
+                right_exit_probability(beta, a)
+        # log tail(r) is -inf above r ~ 1.9e154: a typed error, never NaN
+        for x in (0.0, np.array([0.0, 1.0])):
+            with pytest.raises(ValueError):
+                limit_law_cdf(1.0, 1e155, x)
+
+    @pytest.mark.parametrize("a", [1e9, 1e100])
+    def test_large_thresholds_sample_finite_without_warning(self, a):
+        # N - r is drawn as itself: it never rounds to 0, so -ln(N - r) is finite
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            draws = limit_law_sample(1.0, a, RngStream(1), size=1000)
+            one = limit_law_sample(1.0, a, RngStream(1))
+        assert np.all(np.isfinite(draws)) and math.isfinite(one)

@@ -95,6 +95,16 @@ class TestLogResidualCdf:
         assert log_residual_cdf(GAUSS, 1.0, 50.0) == pytest.approx(1.0, rel=1e-9)
         assert log_residual_cdf(GAUSS, 1.0, -800.0) == 0.0
 
+    @pytest.mark.parametrize("r", [1e-3, 1.0, 300.0, 1e150])
+    def test_cut_off_at_minus_354(self, r):
+        # exactly 0 on both sides of the cut for either model, with no
+        # overflow warning right of it (filterwarnings = error)
+        cut = [-699.0, float(np.nextafter(-354.0, -np.inf)), -354.0, float(np.nextafter(-354.0, np.inf)), -353.0]
+        for model in (GAUSS, EXP):
+            got = log_residual_cdf(model, r, np.array(cut))
+            assert np.array_equal(got, np.zeros(len(cut)))
+            assert [log_residual_cdf(model, r, x) for x in cut] == [0.0] * len(cut)
+
     def test_frozen_value_at_origin(self):
         # tail(1)/tail(0) = 2*(1 - cdf(1))
         assert log_residual_cdf(GAUSS, 0.0, 0.0) == pytest.approx(
