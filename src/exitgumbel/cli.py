@@ -67,8 +67,8 @@ CHECK_FAILED = 1
 USAGE_ERROR = 2
 RUNTIME_ERROR = 3
 
-# Deviation of the exponential model's recentered log-residual CDF from the
-# Gumbel CDF that still counts as exact (its fixed point).
+# Roundoff: a distance at or below it counts as exact, for the exponential fixed
+# point against the Gumbel CDF and for a converged curve's sup distance.
 _FIXED_POINT_TOL = 1e-13
 
 # Most points a curve grid may have.
@@ -222,10 +222,10 @@ def _grid(args) -> np.ndarray:
     return lo + step * np.arange(int(round(span)) + 1)
 
 
-def _decreasing(ordered, floor: float = -math.inf) -> bool:
-    """Whether the values strictly decrease; a value at or below `floor` is
-    roundoff and need not decrease further."""
-    return all(b < a or b <= floor for a, b in zip(ordered, ordered[1:]))
+def _decreasing(ordered) -> bool:
+    """Whether the values strictly decrease; a value at or below
+    `_FIXED_POINT_TOL` is roundoff and need not decrease further."""
+    return all(b < a or b <= _FIXED_POINT_TOL for a, b in zip(ordered, ordered[1:]))
 
 
 def _exponential_fixed_point_deviation() -> float:
@@ -383,10 +383,8 @@ def cmd_residual(args) -> dict:
     fixed_point_dev = _exponential_fixed_point_deviation()
     fixed_point_ok = fixed_point_dev <= _FIXED_POINT_TOL
 
-    # A distance at or below the fixed-point tolerance is roundoff: the curve
-    # has converged and need not shrink further as r grows.
     largest = max(args.r)
-    decreasing = _decreasing([sups_shifted[r] for r in sorted(rs)], _FIXED_POINT_TOL)
+    decreasing = _decreasing([sups_shifted[r] for r in sorted(rs)])
     passed = (
         decreasing
         and sups_shifted[largest] <= args.tolerance

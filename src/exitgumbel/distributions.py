@@ -99,16 +99,13 @@ def gaussian_pdf(x):
     return _each(math.exp, _gaussian_log_pdf(x))
 
 
-def _mills_ratio(r):
-    """Mills ratio tail/pdf via the asymptotic continued fraction.
-
-    Backward recurrence, fixed depth; accurate to well below 1e-16
-    relative for r >= 8.
-    """
+def _inverse_mills_ratio(r):
+    """Inverse Mills ratio pdf/tail = r + f, f the asymptotic continued fraction by
+    backward recurrence at fixed depth; well below 1e-16 relative error for r >= 8."""
     f = 0.0
     for k in range(_MILLS_CF_DEPTH, 0, -1):
         f = k / (r + f)
-    return 1.0 / (r + f)
+    return r + f
 
 
 def gaussian_tail(r):
@@ -119,7 +116,10 @@ def gaussian_tail(r):
     underflows to 0 for r beyond ~37.6 (use `gaussian_log_tail` there).
     """
     return _where(
-        r <= _TAIL_SWITCH, r, lambda r: 0.5 * _each(math.erfc, r / _SQRT2), lambda r: gaussian_pdf(r) * _mills_ratio(r)
+        r <= _TAIL_SWITCH,
+        r,
+        lambda r: 0.5 * _each(math.erfc, r / _SQRT2),
+        lambda r: gaussian_pdf(r) * (1.0 / _inverse_mills_ratio(r)),
     )
 
 
@@ -129,8 +129,24 @@ def gaussian_log_tail(r):
         r <= _TAIL_SWITCH,
         r,
         lambda r: _each(math.log, gaussian_tail(r)),
-        lambda r: _gaussian_log_pdf(r) + _each(math.log, _mills_ratio(r)),
+        lambda r: _gaussian_log_pdf(r) + _each(math.log, 1.0 / _inverse_mills_ratio(r)),
     )
+
+
+def _log_mills(r):
+    """log M(r) of the Mills ratio M = tail/pdf for r >= 0, -inf at r = inf."""
+    inverse = _where(r <= _TAIL_SWITCH, r, lambda r: gaussian_pdf(r) / gaussian_tail(r), _inverse_mills_ratio)
+    return -_each(math.log, inverse)
+
+
+def _gaussian_log_tail_ratio(r: float, d):
+    """log tail(r + d)/tail(r) = -d(r + d/2) + log M(r + d) - log M(r) for
+    r >= 0, never squaring r; left of r + d = 0, where M grows like
+    exp((r + d)^2/2), the difference of the log tails."""
+    def ratio(d):
+        return -d * (r + 0.5 * d) + (_log_mills(r + d) - _log_mills(r))
+
+    return _where(r + d < 0.0, d, lambda d: gaussian_log_tail(r + d) - gaussian_log_tail(r), ratio)
 
 
 def gaussian_cdf(x):
@@ -149,27 +165,16 @@ def gaussian_tail_asymptotic(r: float) -> float:
 
 
 def log_residual_density(r: float, x):
-    """Density at x of -ln(N - r) for a standard Gaussian N given N > r.
-
-    Closed form pdf(exp(-x) + r) * exp(-x) / tail(r). The exponent is
-    assembled in expanded form
-
-        -x - exp(-2x)/2 - r*exp(-x) - r^2/2 - log tail(r)
-
-    so the r^2/2 term cancels against the log-tail before exponentiating;
-    intermediate factors never overflow, for any r. log tail(r) is computed
-    once per call.
-    """
-    log_tail_r = gaussian_log_tail(r)
+    """Density at x of -ln(N - r) for a standard Gaussian N given N > r >= 0,
+    pdf(r + u) * u / tail(r) with u = exp(-x): its log -x - u(r + u/2) - log M(r)
+    never squares r. Exactly 0 left of x = -354, as `log_residual_cdf` is."""
+    log_mills_r = _log_mills(r)
 
     def density(x):
         u = _each(math.exp, -x)
-        exponent = -x - 0.5 * u * u - r * u - 0.5 * r * r - log_tail_r
-        exponent -= _LOG_SQRT_2PI
-        return _where(exponent < -745.0, exponent, lambda e: 0.0, lambda e: _each(math.exp, e))
+        return _each(math.exp, -x - u * (r + 0.5 * u) - log_mills_r)
 
-    # Left of -350 exp(-2x) > 1e304; the density is 0 there to double precision.
-    return _where(-x > 350.0, x, lambda x: 0.0, density)
+    return _where(x < -354.0, x, lambda x: 0.0, density)
 
 
 def shifted_log_residual_density(r: float, x):
@@ -207,9 +212,11 @@ class TailModel:
 
     Bundles a directly computed upper tail (never 1 - cdf), its exact
     logarithm for deep-tail work, the residual scaling function a(r)
-    that flattens the tail into exp(-x), and the log density, whose
-    difference with the log tail is the log tail's exact slope. The
-    built-in models' tail, log_tail and log_pdf take a float or a 1-d array.
+    that flattens the tail into exp(-x), the log density, whose
+    difference with the log tail is the log tail's exact slope, and
+    log_tail_ratio(r, d) = log tail(r + d)/tail(r) for r >= 0, with the
+    increment d apart from r. The built-in models' tail, log_tail and log_pdf
+    take a float or a 1-d array, and so does log_tail_ratio as its d.
     """
 
     name: str
@@ -217,11 +224,7 @@ class TailModel:
     log_tail: Callable[[float], float]
     scaling_a: Callable[[float], float]
     log_pdf: Callable[[float], float]
-
-    def tail_ratio(self, numerator_at, denominator_at: float):
-        """tail(numerator_at)/tail(denominator_at) in log space; `numerator_at`
-        may be an array."""
-        return _each(math.exp, self.log_tail(numerator_at) - self.log_tail(denominator_at))
+    log_tail_ratio: Callable[[float, float], float]
 
 
 def gaussian_tail_model() -> TailModel:
@@ -232,6 +235,7 @@ def gaussian_tail_model() -> TailModel:
         log_tail=gaussian_log_tail,
         scaling_a=_gaussian_scaling,
         log_pdf=_gaussian_log_pdf,
+        log_tail_ratio=_gaussian_log_tail_ratio,
     )
 
 
@@ -243,5 +247,6 @@ def exponential_tail_model() -> TailModel:
         log_tail=_exponential_log_tail,
         scaling_a=lambda r: 1.0,
         log_pdf=lambda x: _where(x > 0.0, x, lambda x: -x, lambda x: -math.inf),
+        log_tail_ratio=lambda r, d: _where(d < -r, d, lambda d: r, lambda d: -d),
     )
 

@@ -35,8 +35,9 @@ from exitgumbel.evt import max_cdf_of_tail
 GAUSS = gaussian_tail_model()
 EXP = exponential_tail_model()
 SWITCH = [8.0, float(np.nextafter(8.0, -np.inf)), float(np.nextafter(8.0, np.inf))]
-# The cut-offs of the masked branches: the Gumbel underflow at -700, the
-# density's -350 and -745, the log-residual CDF's -354, and both sides of each.
+# The cut-offs of the masked branches, the Gumbel underflow at -700 and the
+# log-residual cut at -354, plus -745 (where exp underflows) and -350, each
+# with both sides.
 CUTOFFS = [
     c
     for x in (-745.0, -700.0, -354.0, -350.0)
@@ -53,7 +54,8 @@ points = st.lists(
     min_size=1,
     max_size=60,
 )
-positive_r = st.one_of(st.floats(0.05, 1e4), st.floats(0.05, 40.0), st.sampled_from(SWITCH))
+# up to 1e300, far past r*r overflowing at ~1.34e154
+positive_r = st.one_of(st.floats(0.05, 1e4), st.floats(0.05, 40.0), st.floats(0.05, 1e300), st.sampled_from(SWITCH))
 
 
 def assert_bitwise(fn, xs):
@@ -96,6 +98,7 @@ def test_gumbel_functions(xs):
 @settings(max_examples=150, deadline=None)
 @given(r=positive_r, xs=points)
 @example(r=8.0, xs=CUTOFFS)
+@example(r=1e300, xs=CUTOFFS)
 def test_density_curves(r, xs):
     assert_bitwise(lambda x: log_residual_density(r, x), xs)
     assert_bitwise(lambda x: shifted_log_residual_density(r, x), xs)
@@ -104,6 +107,7 @@ def test_density_curves(r, xs):
 @settings(max_examples=150, deadline=None)
 @given(r=positive_r, xs=points)
 @example(r=float(np.nextafter(8.0, np.inf)), xs=CUTOFFS)
+@example(r=1e300, xs=CUTOFFS)
 def test_residual_curves(r, xs):
     pos = [abs(x) for x in xs]
     for model in (GAUSS, EXP):
@@ -115,10 +119,11 @@ def test_residual_curves(r, xs):
 @settings(max_examples=150, deadline=None)
 @given(
     beta=st.floats(0.05, 20.0),
-    a=st.floats(0.05, 300.0),
+    a=st.one_of(st.floats(0.05, 300.0), st.floats(0.05, 1e150)),
     ys=st.lists(st.one_of(st.floats(-380.0, -330.0), st.floats(-10.0, 30.0), st.sampled_from(CUTOFFS)), min_size=1, max_size=60),
 )
 @example(beta=1.0, a=250.0, ys=CUTOFFS)
+@example(beta=20.0, a=1e150, ys=CUTOFFS)
 def test_limit_law_cdf(beta, a, ys):
     # x on both sides of beta*x - ln(2 beta)/2 = -354, the log-residual
     # CDF's cut-off; no errstate here, so an overflow warning fails the test

@@ -148,6 +148,20 @@ class TestDensityConvergence:
         assert list(report["sup_distance"]) == ["20", "40"]
         assert stems == ["density_r20", "density_r40"]
 
+    def test_large_thresholds_converge(self, tmp_path, capsys):
+        # the true distance shrinks like ~1/r^2; from r = 1e8 on the sups are
+        # roundoff (~1e-15), which need not decrease
+        code = main(["density-convergence", "--r", "1e3", "1e5", "1e6", "1e7", "1e8", "--output-dir", str(tmp_path)])
+        report = _stdout_json(capsys)
+        assert code == 0
+        assert report["strictly_decreasing_in_r"] is True
+        code = main(["density-convergence", "--r", "1e8", "1e9", "1e10", "1e12", "--output-dir", str(tmp_path)])
+        report = _stdout_json(capsys)
+        assert code == 0
+        assert max(report["sup_distance"].values()) <= 1e-13
+        assert main(["density-convergence", "--r", "2e154", "--output-dir", str(tmp_path)]) == 0
+        assert _stdout_json(capsys)["sup_distance"]["2e+154"] <= 1e-13
+
     def test_missing_r_is_usage_error(self, tmp_path):
         assert main(["density-convergence", "--output-dir", str(tmp_path)]) == 2
 
@@ -326,14 +340,25 @@ class TestResidualCommand:
 
 
     def test_overflowing_r_is_runtime_error_never_nan(self, tmp_path, capsys):
-        # tail ratios overflow to NaN at r = 1e300: a typed fault, not a token
+        # r*r overflows at r = 1e300, but the tail ratio never squares r:
+        # finite sups, no NaN token
         code = main(["residual", "--r", "1e300", "--output-dir", str(tmp_path)])
         out = capsys.readouterr().out
-        assert code == 3
+        report = _strict(out)
+        assert code == 0
         assert "NaN" not in out
-        assert _strict(out)["error"]["type"] == "NonFiniteResult"
-        assert not (tmp_path / "residual_report.json").exists()
-        assert not list(tmp_path.glob("residual_*"))
+        sups = [*report["scaled_sup_distance"].values(), *report["shifted_cdf_sup_distance"].values()]
+        assert all(math.isfinite(s) and s <= 1e-13 for s in sups)
+
+    @pytest.mark.parametrize("model, r", [("gaussian", "1e9"), ("exponential", "1e17")])
+    def test_large_threshold_keeps_full_precision(self, tmp_path, capsys, model, r):
+        # r + x would round to r here; the tail ratio takes x apart from r
+        code = main(["residual", "--model", model, "--r", r, "--output-dir", str(tmp_path)])
+        report = _stdout_json(capsys)
+        assert code == 0
+        assert report["scaled_sup_distance"][f"{float(r):g}"] <= 1e-13
+        if model == "exponential":
+            assert report["shifted_cdf_sup_distance"][f"{float(r):g}"] == 0.0
 
     def test_subnormal_r_is_typed_runtime_error(self, tmp_path, capsys):
         # a(r) = 1/r overflows to inf at r = 1e-320: named, not "math domain error"

@@ -226,7 +226,7 @@ class TestTailModels:
     def test_tail_ratio_uses_log_space(self):
         g = gaussian_tail_model()
         # both tails underflow in linear space; the ratio is still finite
-        ratio = g.tail_ratio(40.0, 39.9)
+        ratio = math.exp(g.log_tail_ratio(39.9, 0.1))
         assert 0.0 < ratio < 1.0
         assert math.log(ratio) == pytest.approx(
             gaussian_log_tail(40.0) - gaussian_log_tail(39.9), rel=1e-12

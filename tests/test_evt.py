@@ -117,7 +117,7 @@ class TestSolveNormalizers:
     def test_zero_slope_takes_the_bracket_midpoint(self):
         # a flat log-tail has zero density, so its exact slope is 0: the
         # Newton step falls back to bisection instead of dividing by zero
-        step = TailModel("step", None, lambda x: -np.floor(x), None, lambda x: np.full_like(x, -np.inf))
+        step = TailModel("step", None, lambda x: -np.floor(x), None, lambda x: np.full_like(x, -np.inf), None)
         x = _solve_log_tail(step, np.array([-0.5]), 0.0, 50.0)
         assert abs(x[0] - 1.0) <= 1e-3
 

@@ -643,11 +643,16 @@ class TestLimitLaw:
     @pytest.mark.parametrize(
         "beta, a, tol",
         [(1.0, 1.0, 2e-13), (20.0, 0.2, 2e-13), (0.25, 1.0, 2e-13), (1.0, 6.0, 2e-13), (1.0, 20.0, 2e-13),
-         (1.0, 250.0, 1e-10), (1.0, 300.0, 1e-10)],
+         (1.0, 250.0, 1e-10), (1.0, 300.0, 1e-10),
+         (0.5, 424.0, 1e-13), (0.5, 1e4, 1e-13), (0.5, 1e6, 1e-13), (0.5, 1e8, 1e-13)],
     )
     def test_cdf_against_mpmath(self, beta, a, tol):
         # tail(r + sqrt(2 beta) e^(-beta x))/tail(r) at 60 digits; at a = 250
-        # and 300, r = a*sqrt(2 beta) lies past any fixed cut on the argument
+        # and 300, r = a*sqrt(2 beta) lies past any fixed cut on the argument.
+        # Besides a fixed grid, one around the law's bulk, x ~ (ln r + c)/beta,
+        # where the increment sqrt(2 beta) e^(-beta x) is ~1/r
+        c = 0.5 * math.log(2.0 * beta)
+        bulk = (math.log(a * math.sqrt(2.0 * beta)) + c + np.linspace(-3.0, 12.0, 61)) / beta
         with mp.workdps(60):
             s2b = mp.sqrt(2 * mp.mpf(beta))
             r = mp.mpf(a) * s2b
@@ -655,7 +660,7 @@ class TestLimitLaw:
             def exact(x):
                 return mp.erfc((r + s2b * mp.exp(-mp.mpf(beta) * mp.mpf(x))) / mp.sqrt(2)) / mp.erfc(r / mp.sqrt(2))
 
-            xs = np.linspace(-3.0, 12.0, 61)
+            xs = np.concatenate([np.linspace(-3.0, 12.0, 61), bulk])
             errors = [abs(mp.mpf(limit_law_cdf(beta, a, float(x))) - exact(float(x))) for x in xs]
         assert float(max(errors)) <= tol
 
@@ -695,10 +700,12 @@ class TestLimitLaw:
                 limit_law_sample(beta, a, RngStream(1), size=3)
             with pytest.raises(ValueError):
                 right_exit_probability(beta, a)
-        # log tail(r) is -inf above r ~ 1.9e154: a typed error, never NaN
-        for x in (0.0, np.array([0.0, 1.0])):
-            with pytest.raises(ValueError):
-                limit_law_cdf(1.0, 1e155, x)
+        # log tail(r) is -inf above r ~ 1.9e154, but the tail ratio never
+        # forms it: the true values, 0 at x = 0 and 1 far right
+        assert limit_law_cdf(1.0, 1e155, 0.0) == 0.0 and limit_law_cdf(1.0, 1e155, 1000.0) == 1.0
+        assert np.array_equal(limit_law_cdf(1.0, 1e155, np.array([0.0, 1000.0])), [0.0, 1.0])
+        # r + e^(-y) rounds to r here, which once gave 1.0
+        assert limit_law_cdf(1.0, 9e153, 0.0) == 0.0
 
     @pytest.mark.parametrize("a", [1e9, 1e100])
     def test_large_thresholds_sample_finite_without_warning(self, a):

@@ -4,17 +4,22 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from exitgumbel import (
     EmpiricalSample,
+    NonFiniteResult,
     RngStream,
     exponential_tail_model,
     gaussian_tail_model,
     gumbel_cdf,
     ks_one_sample,
     log_residual_cdf,
+    log_residual_density,
     scaled_residual,
     shifted_log_residual_cdf,
+    shifted_log_residual_density,
     truncated_gaussian,
 )
 
@@ -26,27 +31,37 @@ class TestResidualTail:
     def test_one_at_zero(self):
         for model in (GAUSS, EXP):
             for r in (0.0, 1.0, 10.0):
-                assert model.tail_ratio(r + 0.0, r) == 1.0
+                assert math.exp(model.log_tail_ratio(r, 0.0)) == 1.0
 
     def test_memoryless_exponential(self):
         for r in (0.0, 1.0, 25.0):
             for x in (0.1, 1.0, 4.0):
-                assert EXP.tail_ratio(r + x, r) == pytest.approx(math.exp(-x), rel=1e-13)
+                assert math.exp(EXP.log_tail_ratio(r, x)) == pytest.approx(math.exp(-x), rel=1e-13)
 
     def test_gaussian_frozen_value(self):
         # mpmath: tail(3.5)/tail(3)
-        assert GAUSS.tail_ratio(3.0 + 0.5, 3.0) == pytest.approx(0.17233085283827657439, rel=1e-12)
+        assert math.exp(GAUSS.log_tail_ratio(3.0, 0.5)) == pytest.approx(0.17233085283827657439, rel=1e-12)
 
     def test_valid_tail_function(self):
         xs = np.linspace(0.0, 10.0, 101)
-        vals = [GAUSS.tail_ratio(2.0 + float(x), 2.0) for x in xs]
+        vals = [math.exp(GAUSS.log_tail_ratio(2.0, float(x))) for x in xs]
         assert vals[0] == 1.0
         assert all(b <= a for a, b in zip(vals, vals[1:]))
         assert vals[-1] < 1e-10
 
+    def test_increment_below_minus_r(self):
+        # r + d < 0: the Gaussian takes the difference of the log tails there
+        # (M(r + d) grows like exp((r + d)^2/2)); the exponential tail is 1
+        with mp.workdps(40):
+            for r, d in ((1.0, -5.0), (3.0, -3.5), (0.5, -1e200)):
+                exact = mp.erfc(mp.mpf(r + d) / mp.sqrt(2)) / mp.erfc(mp.mpf(r) / mp.sqrt(2))
+                assert math.exp(GAUSS.log_tail_ratio(r, d)) == pytest.approx(float(exact), rel=1e-14)
+        assert math.exp(EXP.log_tail_ratio(1.0, -5.0)) == math.exp(1.0)
+        assert np.array_equal(EXP.log_tail_ratio(2.0, np.array([-5.0, -2.0, 1.0])), [2.0, 2.0, -1.0])
+
     def test_deep_threshold_works_in_log_space(self):
         # linear-space tails underflow past ~37.6; log-tail route must not
-        v = GAUSS.tail_ratio(40.0 + 0.1, 40.0)
+        v = math.exp(GAUSS.log_tail_ratio(40.0, 0.1))
         assert v == pytest.approx(math.exp(-40.0 * 0.1 - 0.005) / (1.0 + 0.1 / 40.0), rel=1e-2)
 
 
@@ -71,16 +86,10 @@ class TestScaledResidual:
                     math.exp(-x), rel=1e-13
                 )
 
-    @pytest.mark.xfail(
-        strict=True,
-        reason="known defect: r + a(r)*x is rounded to a double before tail_ratio sees it, an "
-        "argument error up to ulp(r)/2 and a relative error ~r*ulp(r)/2 in the ratio; a fix must pass "
-        "the increment a(r)*x to the tail ratio apart from r",
-    )
     def test_relative_precision_at_large_thresholds(self):
-        # 60-digit tail(r + x/r)/tail(r). The code's relative errors at x = 1
-        # and 4: 1.5e-10 and 1.2e-9 at r = 1e5, 7.8e-3 at 1e7, 1.7 and 53.6 at
-        # 1e9, where r + x/r rounds to r and the ratio to 1
+        # 60-digit tail(r + x/r)/tail(r). A ratio of tails at the rounded
+        # r + x/r has relative errors at x = 1 and 4: 1.5e-10 and 1.2e-9 at
+        # r = 1e5, 7.8e-3 at 1e7, 1.7 and 53.6 at 1e9, where r + x/r rounds to r
         with mp.workdps(60):
             for r in (1e5, 1e7, 1e9):
                 for x in (1.0, 4.0):
@@ -147,15 +156,14 @@ class TestShiftedLogResidualCdf:
         # identical to P{-ln(N-r) - ln r <= x | N > r} = tail(r + e^-x / r)/tail(r)
         for r in (2.0, 20.0):
             for x in np.linspace(-2.0, 6.0, 33):
-                direct = GAUSS.tail_ratio(r + math.exp(-x) / r, r)
+                direct = math.exp(GAUSS.log_tail_ratio(r, math.exp(-x) / r))
                 assert abs(shifted_log_residual_cdf(GAUSS, r, float(x)) - direct) <= 1e-13
 
     def test_exponential_fixed_point_exact(self):
+        # the exponential log tail ratio is exactly -d: exp(-exp(-x)) bit for bit
         for r in (1.0, 5.0, 30.0):
             for x in np.linspace(-2.0, 6.0, 81):
-                assert abs(
-                    shifted_log_residual_cdf(EXP, r, float(x)) - gumbel_cdf(float(x))
-                ) <= 1e-13
+                assert shifted_log_residual_cdf(EXP, r, float(x)) == gumbel_cdf(float(x))
 
     def test_monotone_in_x(self):
         xs = np.linspace(-3.0, 8.0, 111)
@@ -163,3 +171,36 @@ class TestShiftedLogResidualCdf:
             vals = [shifted_log_residual_cdf(GAUSS, r, float(x)) for x in xs]
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
+
+RESIDUAL_FUNCTIONS = [
+    *(
+        (f"{name}[{model.name}]", lambda r, x, fn=fn, model=model: fn(model, r, x))
+        for model in (GAUSS, EXP)
+        for name, fn in (
+            ("scaled_residual", scaled_residual),
+            ("log_residual_cdf", log_residual_cdf),
+            ("shifted_log_residual_cdf", shifted_log_residual_cdf),
+        )
+    ),
+    ("log_residual_density", log_residual_density),
+    ("shifted_log_residual_density", shifted_log_residual_density),
+]
+
+
+@pytest.mark.parametrize("fn", [fn for _, fn in RESIDUAL_FUNCTIONS], ids=[name for name, _ in RESIDUAL_FUNCTIONS])
+@settings(max_examples=300, deadline=None)
+@given(r=st.floats(0.0, 1e300, exclude_min=True), x=st.floats(-1e300, 1e300))
+@example(r=1e300, x=-1e300)
+@example(r=1e-300, x=1e300)
+@example(r=1e-3, x=-1e300)
+@example(r=2e154, x=-350.0)
+@example(r=5e-324, x=1.0)
+def test_finite_or_typed_error_never_nan(fn, r, x):
+    # filterwarnings = error: a warning fails the test. A result too large
+    # for a double (a ratio e^(r^2/2) left of r) raises OverflowError, a
+    # subnormal r the scaling's NonFiniteResult
+    try:
+        value = fn(r, x)
+    except (OverflowError, NonFiniteResult):
+        return
+    assert type(value) is float and math.isfinite(value), (r, x, value)
