@@ -19,8 +19,6 @@ from .distributions import (
     gumbel_cdf,
     gumbel_density,
     gumbel_identity_residual,
-    log_residual_density,
-    shifted_log_residual_density,
 )
 from .errors import (
     BudgetExceeded,
@@ -56,8 +54,10 @@ from .exitsim import (
 )
 from .residual import (
     log_residual_cdf,
+    log_residual_density,
     scaled_residual,
     shifted_log_residual_cdf,
+    shifted_log_residual_density,
 )
 from .stats import (
     EmpiricalSample,

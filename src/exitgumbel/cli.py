@@ -35,8 +35,6 @@ from .distributions import (
     gumbel_cdf,
     gumbel_density,
     gumbel_identity_residual,
-    log_residual_density,
-    shifted_log_residual_density,
 )
 from .errors import ExitGumbelError, NonFiniteResult
 from .evt import max_cdf, max_cdf_of_tail, sample_normalized_max, solve_normalizers
@@ -49,7 +47,8 @@ from .exitsim import (
     right_exit_probability,
     sample_conditioned_exits,
 )
-from .residual import scaled_residual, shifted_log_residual_cdf
+from .residual import log_residual_cdf, log_residual_density, scaled_residual
+from .residual import shifted_log_residual_cdf, shifted_log_residual_density
 from .stats import (
     EmpiricalSample,
     RngStream,
@@ -447,9 +446,10 @@ def _identity_checks():
 
     checks.append(("exponential-fixed-point", _exponential_fixed_point_deviation(), _FIXED_POINT_TOL))
 
+    # against the argument-shift form, which rounds x - ln a(r) first
     g = gaussian_tail_model()
     alg = max(
-        abs(shifted_log_residual_cdf(g, r, x) - scaled_residual(g, r, math.exp(-x)))
+        abs(shifted_log_residual_cdf(g, r, x) - log_residual_cdf(g, r, x - math.log(g.scaling_a(r))))
         for r in (5.0, 20.0)
         for x in np.linspace(-2.0, 6.0, 81)
     )

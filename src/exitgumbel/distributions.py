@@ -1,8 +1,8 @@
 """Exact distribution functions of a float or of a 1-d float array.
 
 Gumbel law, standard Gaussian law with cancellation-free tails, and the
-explicit density of the log-transformed Gaussian excess over a high
-threshold. All functions are pure and safe under arbitrary concurrency.
+tail models the residual curves (`residual`) are built from. All functions
+are pure and safe under arbitrary concurrency.
 
 An array is evaluated as each element would be, bit for bit: numpy does
 the IEEE arithmetic in the scalar order and exp/log/erfc stay `math` calls.
@@ -27,8 +27,6 @@ __all__ = [
     "gaussian_tail",
     "gaussian_log_tail",
     "gaussian_tail_asymptotic",
-    "log_residual_density",
-    "shifted_log_residual_density",
     "gaussian_tail_model",
     "exponential_tail_model",
 ]
@@ -99,13 +97,14 @@ def gaussian_pdf(x):
     return _each(math.exp, _gaussian_log_pdf(x))
 
 
-def _inverse_mills_ratio(r):
-    """Inverse Mills ratio pdf/tail = r + f, f the asymptotic continued fraction by
-    backward recurrence at fixed depth; well below 1e-16 relative error for r >= 8."""
+def _mills_fraction(r):
+    """f of the inverse Mills ratio pdf/tail = r + f, the asymptotic continued
+    fraction by backward recurrence at fixed depth; well below 1e-16 relative
+    error for r >= 8. f ~ 1/r keeps digits that r + f rounds away."""
     f = 0.0
     for k in range(_MILLS_CF_DEPTH, 0, -1):
         f = k / (r + f)
-    return r + f
+    return f
 
 
 def gaussian_tail(r):
@@ -119,7 +118,7 @@ def gaussian_tail(r):
         r <= _TAIL_SWITCH,
         r,
         lambda r: 0.5 * _each(math.erfc, r / _SQRT2),
-        lambda r: gaussian_pdf(r) * (1.0 / _inverse_mills_ratio(r)),
+        lambda r: gaussian_pdf(r) * (1.0 / (r + _mills_fraction(r))),
     )
 
 
@@ -129,14 +128,20 @@ def gaussian_log_tail(r):
         r <= _TAIL_SWITCH,
         r,
         lambda r: _each(math.log, gaussian_tail(r)),
-        lambda r: _gaussian_log_pdf(r) + _each(math.log, 1.0 / _inverse_mills_ratio(r)),
+        lambda r: _gaussian_log_pdf(r) + _each(math.log, 1.0 / (r + _mills_fraction(r))),
     )
 
 
 def _log_mills(r):
     """log M(r) of the Mills ratio M = tail/pdf for r >= 0, -inf at r = inf."""
-    inverse = _where(r <= _TAIL_SWITCH, r, lambda r: gaussian_pdf(r) / gaussian_tail(r), _inverse_mills_ratio)
+    inverse = _where(r <= _TAIL_SWITCH, r, lambda r: gaussian_pdf(r) / gaussian_tail(r), lambda r: r + _mills_fraction(r))
     return -_each(math.log, inverse)
+
+
+def _log_r_mills(r: float) -> float:
+    """log(r M(r)) for r > 0. Above the switch r M(r) = r/(r + f) nears 1, and
+    -log1p(f/r) keeps the digits that ln r + log M(r) would cancel."""
+    return -math.log1p(_mills_fraction(r) / r) if r > _TAIL_SWITCH else math.log(r) + _log_mills(r)
 
 
 def _gaussian_log_tail_ratio(r: float, d):
@@ -164,30 +169,6 @@ def gaussian_tail_asymptotic(r: float) -> float:
     return gaussian_pdf(r) / r
 
 
-def log_residual_density(r: float, x):
-    """Density at x of -ln(N - r) for a standard Gaussian N given N > r >= 0,
-    pdf(r + u) * u / tail(r) with u = exp(-x): its log -x - u(r + u/2) - log M(r)
-    never squares r. Exactly 0 left of x = -354, as `log_residual_cdf` is."""
-    log_mills_r = _log_mills(r)
-
-    def density(x):
-        u = _each(math.exp, -x)
-        return _each(math.exp, -x - u * (r + 0.5 * u) - log_mills_r)
-
-    return _where(x < -354.0, x, lambda x: 0.0, density)
-
-
-def shifted_log_residual_density(r: float, x):
-    """Density at x of -ln(N - r) - ln(r) given N > r; converges to the
-    Gumbel density as r grows.
-
-    Requires r > 0 (the recentering shift is ln r).
-    """
-    if r <= 0.0:
-        raise ValueError(f"shift by ln(r) requires r > 0, got {r}")
-    return log_residual_density(r, x + math.log(r))
-
-
 def _gaussian_scaling(r: float) -> float:
     """Residual scaling a(r) = 1/r for the Gaussian tail; defined for r > 0
     where 1/r is finite (NonFiniteResult for a subnormal r)."""
@@ -196,14 +177,6 @@ def _gaussian_scaling(r: float) -> float:
     if 1.0 / r == math.inf:
         raise NonFiniteResult(f"Gaussian residual scaling a(r) = 1/r overflows at r = {r}: 1/r = inf")
     return 1.0 / r
-
-
-def _exponential_tail(x):
-    return _where(x > 0.0, x, lambda x: _each(math.exp, -x), lambda x: 1.0)
-
-
-def _exponential_log_tail(x):
-    return _where(x > 0.0, x, lambda x: -x, lambda x: 0.0)
 
 
 @dataclass(frozen=True)
@@ -243,8 +216,8 @@ def exponential_tail_model() -> TailModel:
     """Unit exponential: the memoryless fixed point, scaling a(r) = 1."""
     return TailModel(
         name="exponential",
-        tail=_exponential_tail,
-        log_tail=_exponential_log_tail,
+        tail=lambda x: _where(x > 0.0, x, lambda x: _each(math.exp, -x), lambda x: 1.0),
+        log_tail=lambda x: _where(x > 0.0, x, lambda x: -x, lambda x: 0.0),
         scaling_a=lambda r: 1.0,
         log_pdf=lambda x: _where(x > 0.0, x, lambda x: -x, lambda x: -math.inf),
         log_tail_ratio=lambda r, d: _where(d < -r, d, lambda d: r, lambda d: -d),

@@ -99,6 +99,8 @@ def test_gumbel_functions(xs):
 @given(r=positive_r, xs=points)
 @example(r=8.0, xs=CUTOFFS)
 @example(r=1e300, xs=CUTOFFS)
+@example(r=1e-3, xs=CUTOFFS)
+@example(r=1e-300, xs=CUTOFFS)
 def test_density_curves(r, xs):
     assert_bitwise(lambda x: log_residual_density(r, x), xs)
     assert_bitwise(lambda x: shifted_log_residual_density(r, x), xs)
@@ -108,6 +110,8 @@ def test_density_curves(r, xs):
 @given(r=positive_r, xs=points)
 @example(r=float(np.nextafter(8.0, np.inf)), xs=CUTOFFS)
 @example(r=1e300, xs=CUTOFFS)
+@example(r=1e-3, xs=CUTOFFS)
+@example(r=1e-300, xs=CUTOFFS)
 def test_residual_curves(r, xs):
     pos = [abs(x) for x in xs]
     for model in (GAUSS, EXP):

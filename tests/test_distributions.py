@@ -26,6 +26,7 @@ from exitgumbel import (
     shifted_log_residual_density,
 )
 from exitgumbel.cli import _density_window_mass
+from exitgumbel.distributions import _log_r_mills
 
 mp.mp.dps = 40
 
@@ -159,7 +160,7 @@ class TestConditionalDensity:
             assert log_residual_density(r, -30.0) == 0.0
             assert log_residual_density(r, -500.0) == 0.0
 
-    def test_normalization_by_simpson(self):
+    def test_normalization_by_trapezoid(self):
         # the identity suite's trapezoid sum against the mpmath integral over
         # the same window [-15, 25 + r], whose mass falls short of 1 by ~1e-11
         for r in (0.0, 1.0, 2.0, 5.0):
@@ -200,6 +201,23 @@ class TestShiftedDensity:
             )
         assert sups[0] <= 0.01
         assert sups[1] < sups[0]
+
+
+class TestLogRMills:
+    @pytest.mark.parametrize("r", [0.5, 3.0, 8.0, float(np.nextafter(8.0, np.inf)), 30.0, 1e3, 1e8, 1e20])
+    def test_against_mpmath(self, r):
+        # log(r M(r)) to 40 digits: mpmath loses ~2 digits a decade of r to
+        # the exponent r^2/2 and ~2 more to r M(r) -> 1, so its working
+        # precision grows with r. Above the switch the error is relative: the
+        # continued fraction's own tail f keeps digits that (r + f) - r loses
+        with mp.workdps(40 + 4 * max(0, math.ceil(math.log10(r)))):
+            R = mp.mpf(r)
+            want = mp.log(R * mp.ncdf(-R) / mp.npdf(R))
+            error = abs(_log_r_mills(r) - want)
+            if r <= 8.0:
+                assert error <= 1e-14
+            else:
+                assert error <= 2e-16 * abs(want)
 
 
 class TestTailModels:

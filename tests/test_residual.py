@@ -172,6 +172,59 @@ class TestShiftedLogResidualCdf:
             assert all(b >= a for a, b in zip(vals, vals[1:]))
 
 
+def _log_r_mills_series(R):
+    # log(r M(r)) = log(1 - 1/r^2 + 3/r^4 - 15/r^6 + ...), far below 1e-60
+    # after eight terms at r >= 1e8
+    s = t = mp.mpf(1)
+    for k in range(1, 8):
+        t = -t * (2 * k - 1) / (R * R)
+        s += t
+    return mp.log(s)
+
+
+def _shifted_cdf_oracle(r, x):
+    # tail(r + d)/tail(r), d = e^-x/r, from erfc at r = 1e8; beyond it r + d
+    # needs hundreds of digits, and the log ratio is -w - d^2/2 - log1p(d/r)
+    # + log(r M(r))(r + d) - log(r M(r))(r) with w = e^-x from the series
+    R, w = mp.mpf(r), mp.exp(-mp.mpf(x))
+    d = w / R
+    if r <= 1e8:
+        return mp.erfc((R + d) / mp.sqrt(2)) / mp.erfc(R / mp.sqrt(2))
+    return mp.exp(-w - d * d / 2 - mp.log1p(d / R) + _log_r_mills_series(R + d) - _log_r_mills_series(R))
+
+
+def _shifted_density_oracle(r, x):
+    # pdf(r + v) v / tail(r), v = e^-x/r, from erfc at r = 1e8; beyond it its
+    # log -x - w - v^2/2 - log(r M(r)) with w = e^-x from the series
+    R, w = mp.mpf(r), mp.exp(-mp.mpf(x))
+    v = w / R
+    if r <= 1e8:
+        return mp.npdf(R + v) * v / mp.ncdf(-R)
+    return mp.exp(-mp.mpf(x) - w - v * v / 2 - _log_r_mills_series(R))
+
+
+class TestRecenteredCurvesAtLargeThresholds:
+    """The recentering is a factor of the increment, never a shift of x, so
+    no ln r is rounded: 60-digit mpmath, relative error <= 5e-15 (a shift of
+    the argument by ln r reaches 2.3e-13 at r = 1e300)."""
+
+    @pytest.mark.parametrize("r", [1e8, 2e154, 1e300])
+    def test_shifted_cdf(self, r):
+        xs = np.linspace(-2.0, 6.0, 41)
+        with mp.workdps(60):
+            for x, got in zip(xs, shifted_log_residual_cdf(GAUSS, r, xs)):
+                error = abs(float(got) / _shifted_cdf_oracle(r, float(x)) - 1)
+                assert error <= 5e-15, (x, float(error))
+
+    @pytest.mark.parametrize("r", [1e8, 2e154, 1e300])
+    def test_shifted_density(self, r):
+        xs = np.linspace(-1.0, 5.0, 41)
+        with mp.workdps(60):
+            for x, got in zip(xs, shifted_log_residual_density(r, xs)):
+                error = abs(float(got) / _shifted_density_oracle(r, float(x)) - 1)
+                assert error <= 5e-15, (x, float(error))
+
+
 RESIDUAL_FUNCTIONS = [
     *(
         (f"{name}[{model.name}]", lambda r, x, fn=fn, model=model: fn(model, r, x))
