@@ -39,6 +39,7 @@ from .distributions import (
 from .errors import ExitGumbelError, NonFiniteResult
 from .evt import max_cdf, max_cdf_of_tail, sample_normalized_max, solve_normalizers
 from .exitsim import (
+    _MAX_BETA_STEP,
     _MAX_GUARD_STEPS,
     MAX_STEP,
     ExitProblem,
@@ -248,8 +249,9 @@ def cmd_exit_experiment(args) -> dict:
         problem = ExitProblem(
             model=LinearDriftModel(beta=args.beta), epsilon=args.epsilon, a=args.a, step=args.step
         )
-    except ValueError as exc:  # the start -epsilon*a must lie inside the domain
-        raise UsageError(f"--epsilon and --a: {exc}") from exc
+    except ValueError as exc:  # the start -epsilon*a inside the domain, or beta*step
+        flags = "--beta and --step" if args.beta * args.step > _MAX_BETA_STEP else "--epsilon and --a"
+        raise UsageError(f"{flags}: {exc}") from exc
     steps = problem.guard_horizon / problem.step  # may be inf
     if steps > _MAX_GUARD_STEPS:
         raise UsageError(

@@ -58,8 +58,9 @@ __all__ = [
 # negligible and the terminal value stands in for the infinite-horizon one.
 _NOISE_DECAY_TARGET = 1e-9
 
-# Largest integration step an ExitProblem accepts.
+# Largest integration step an ExitProblem accepts, and largest beta*step.
 MAX_STEP = 1e-2
+_MAX_BETA_STEP = 354.0  # e^(2*beta*step) in _exact_coefficients overflows past ~354.9
 # Most fine steps a guard horizon may span for conditioned sampling: the
 # kernel's fine-step boundary tables take 16 bytes a step, ~270 MB at this
 # cap (A1 needs 44,606 steps).
@@ -118,13 +119,15 @@ class ExitProblem:
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise ValueError(f"a must be positive, got {self.a}")
+        if not (0.0 < self.step <= MAX_STEP):
+            raise ValueError(f"step must be in (0, {MAX_STEP:g}], got {self.step}")
+        if not self.model.beta * self.step <= _MAX_BETA_STEP:
+            raise ValueError(f"beta*step must be at most {_MAX_BETA_STEP:g}, got {self.model.beta * self.step:g}")
         if not (-1.0 < -self.epsilon * self.a < 0.0):
             raise ValueError(
                 f"start -epsilon*a = {-self.epsilon * self.a} must lie strictly "
                 "inside (-1, 0)"
             )
-        if not (0.0 < self.step <= MAX_STEP):
-            raise ValueError(f"step must be in (0, {MAX_STEP:g}], got {self.step}")
         beta = self.model.beta
         minimum_guard = self.centering_time + 20.0 / beta
         if self.guard_horizon is None:
@@ -269,6 +272,12 @@ def _exact_chunks(problem: ExitProblem, draw: Callable[[int], np.ndarray], total
         size = rest
 
 
+def _record(problem: ExitProblem, steps: int, side: str) -> ExitRecord:
+    """The exit after `steps` fine steps: tau = steps*h, less the centering."""
+    tau = steps * problem.step
+    return ExitRecord(tau=tau, side=side, normalized_time=tau - problem.centering_time, steps_taken=steps)
+
+
 def _run_linear_exit(problem: ExitProblem, draw: Callable[[int], np.ndarray]) -> ExitRecord:
     """First exit of the exact-step recursion from (-1, 1), shared by the
     sampler and the noise replay; raises GuardExceeded without one."""
@@ -278,14 +287,7 @@ def _run_linear_exit(problem: ExitProblem, draw: Callable[[int], np.ndarray]) ->
         hit = np.abs(ys) >= bound
         if hit.any():
             k = int(np.argmax(hit))
-            steps = steps_done + k + 1
-            tau = steps * problem.step
-            return ExitRecord(
-                tau=tau,
-                side="right" if ys[k] >= bound else "left",
-                normalized_time=tau - problem.centering_time,
-                steps_taken=steps,
-            )
+            return _record(problem, steps_done + k + 1, "right" if ys[k] >= bound else "left")
         steps_done += ys.size
     raise GuardExceeded(
         f"no exit within guard horizon {problem.guard_horizon} "
@@ -566,22 +568,34 @@ def _bridge_fill(t, m, x, y, normals):
     return normals
 
 
+def _knot_round(t, lo, hi, x0, gen):
+    """One round of knots: I at the right knots of intervals lo..hi-1, one
+    row per entry of x0, `knot_sd`-scaled normals summed from x0 (column 0)."""
+    path = np.empty((x0.size, hi - lo + 1))
+    np.multiply(gen.standard_normal((x0.size, hi - lo)), t["knot_sd"][lo:hi], out=path[:, 1:])
+    path[:, 0] = x0
+    return np.cumsum(path, axis=1, out=path)
+
+
 def _batch_right_exits(problem, attempts, gen):
-    """Right exits of a lockstep batch of attempts, in attempt order.
+    """Right exits of a lockstep batch of attempts, as (attempt, steps) pairs
+    in attempt order.
 
     Row r runs attempt attempts[r], a whole aligned batch, on `gen`, the
-    generator of substream attempts.start // _BATCH_ATTEMPTS. Each round of
-    _ROUND knots draws I at the knots of all live rows at once. The
-    intervals that `_needs_refining` flags, up to the first knot that
-    settles their attempt, are filled by `_bridge_fill` from one draw for
-    all of them (row-major) and tested at every fine step, so a right exit
-    keeps its fine-step index.
-    An attempt also leaves at a knot with Y <= -c (rejected, see
-    `_rejection_depth`). Which rows receive a round's fresh normals depends
-    only on earlier draws, so each attempt keeps the reference law.
+    generator of substream attempts.start // _BATCH_ATTEMPTS. Each round
+    draws I at the next _ROUND knots of all live rows (`_knot_round`). An
+    attempt settles at its first knot at or below the floor a - c*g^-k (see
+    `_rejection_depth`) or at or above the right boundary. No other test is
+    needed: c <= 1/eps puts the floor at or above the left boundary, and a
+    knot at or above the right boundary ends a flagged interval whose last
+    fine step is the knot, tested against that boundary bitwise. The
+    intervals that `_needs_refining` flags, up to that knot, are filled by
+    `_bridge_fill` from one draw for all of them (row-major) and tested at
+    every fine step; an attempt ends at its first crossing, kept if right,
+    with its fine-step index. Which rows receive a round's fresh normals
+    depends only on earlier draws, so each attempt keeps the reference law.
     """
     t = _coarse_tables(problem)
-    h, centering = problem.step, problem.centering_time
     intervals = t["start"].size
 
     index = np.asarray(attempts)
@@ -589,22 +603,14 @@ def _batch_right_exits(problem, attempts, gen):
     hits = []
     for lo in range(0, intervals, _ROUND):
         hi = min(lo + _ROUND, intervals)
-        n, width = index.size, hi - lo
-        path = np.empty((n, width + 1))
-        np.multiply(gen.standard_normal((n, width)), t["knot_sd"][lo:hi], out=path[:, 1:])
-        path[:, 0] = x0
-        np.cumsum(path, axis=1, out=path)
+        path = _knot_round(t, lo, hi, x0, gen)
         prev, knots = path[:, :-1], path[:, 1:]
 
         flagged = _needs_refining(t, lo, hi, prev, knots)
-        rejected = knots <= t["floor"][lo:hi]
-        settle = rejected | (knots >= t["upper"][lo:hi]) | (knots <= t["lower"][lo:hi])
-        last = np.where(settle.any(axis=1), settle.argmax(axis=1), width)
-        flagged &= np.arange(width) <= last[:, None]
+        settle = (knots <= t["floor"][lo:hi]) | (knots >= t["upper"][lo:hi])
+        done = settle.any(axis=1)
+        flagged &= np.arange(hi - lo) <= np.where(done, settle.argmax(axis=1), hi - lo)[:, None]
 
-        hit_col = np.full(n, width)
-        hit_right = np.zeros(n, dtype=bool)
-        hit_step = np.zeros(n, dtype=np.int64)
         pr, pc = np.nonzero(flagged)
         if pr.size:
             m = lo + pc
@@ -612,24 +618,16 @@ def _batch_right_exits(problem, attempts, gen):
             right = fine >= t["fine_upper"][m]
             crossed = right | (fine <= t["fine_lower"][m])
             crossing = np.flatnonzero(crossed.any(axis=1))
-            if crossing.size:
-                rows = pr[crossing]  # row-major: each row's first crossing comes first
-                first = np.flatnonzero(np.diff(rows, prepend=-1))
-                rows, p = rows[first], crossing[first]
-                k = crossed[p].argmax(axis=1)
-                hit_col[rows] = pc[p]
-                hit_right[rows] = right[p, k]
-                hit_step[rows] = t["start"][m[p]] + k + 1
+            # row-major: each row's first crossing comes first
+            p = crossing[np.diff(pr[crossing], prepend=-1) != 0]
+            k = crossed[p].argmax(axis=1)
+            exits = right[p, k]
+            hits += zip(index[pr[p[exits]]].tolist(), (t["start"][m[p[exits]]] + k[exits] + 1).tolist())
+            done[pr[p]] = True
 
-        reject_col = np.where(rejected.any(axis=1), rejected.argmax(axis=1), width)
-        for r in np.flatnonzero(hit_right & (hit_col <= reject_col)).tolist():
-            steps = int(hit_step[r])
-            tau = steps * h
-            hits.append((int(index[r]), tau, tau - centering, steps))
-        keep = (hit_col == width) & (reject_col == width)
-        if not keep.any():
+        if done.all():
             return sorted(hits)
-        index, x0 = index[keep], knots[keep, -1]
+        index, x0 = index[~done], knots[~done, -1]
     raise GuardExceeded(
         f"no exit within guard horizon {problem.guard_horizon} "
         f"({problem.guard_steps} steps)"
@@ -637,9 +635,9 @@ def _batch_right_exits(problem, attempts, gen):
 
 
 def _conditioned_block(args):
-    """Right exits of attempts [start, stop), one batch, as (attempt, tau,
-    normalized time, steps) rows in attempt order. A batch that `stop` cuts
-    runs whole, so no attempt's noise depends on the budget."""
+    """Right exits of attempts [start, stop), one batch, as (attempt, steps)
+    pairs in attempt order. A batch that `stop` cuts runs whole, so no
+    attempt's noise depends on the budget."""
     problem, stream, start, stop = args
     gen = stream.substream(start // _BATCH_ATTEMPTS)
     batch = _batch_right_exits(problem, range(start, start + _BATCH_ATTEMPTS), gen)
@@ -740,16 +738,10 @@ def sample_conditioned_exits(
             next_block = wave.stop
             wave_blocks = max(workers_used, wave_blocks // 2)
 
-    records = []
-    indices = []
-    for attempt, tau, normalized, steps in hits[:n_accept]:
-        records.append(
-            ExitRecord(tau=tau, side="right", normalized_time=normalized, steps_taken=steps)
-        )
-        indices.append(attempt)
+    indices, steps = zip(*hits[:n_accept])
     return ConditionedSample(
-        records=tuple(records),
-        attempt_indices=tuple(indices),
+        records=tuple(_record(problem, k, "right") for k in steps),
+        attempt_indices=indices,
         attempts=indices[-1] + 1,
         workers_used=workers_used,
     )

@@ -560,6 +560,23 @@ class TestExitExperiment:
         assert not err["message"].startswith("--epsilon")
         assert not (tmp_path / "exit_samples.csv").exists()
 
+    @pytest.mark.parametrize("beta", ["3.6e5", "1e6"])
+    def test_overflowing_beta_step_is_usage_error(self, tmp_path, capsys, beta):
+        # beta*step = 360 and 1000: e^(2*beta*step) overflows a double past
+        # ~354.9; refused before any sampling, naming the flags that set it
+        code = main(["exit-experiment", "--beta", beta, "--a", "1e-3", "--n", "5", "--output-dir", str(tmp_path)])
+        err = _stdout_json(capsys)["error"]
+        assert code == 2
+        assert err["type"] == "UsageError"
+        assert "--beta" in err["message"] and "--step" in err["message"]
+        assert not err["message"].startswith("--epsilon")
+        assert not (tmp_path / "exit_samples.csv").exists()
+
+    def test_beta_step_below_the_bound_runs(self, tmp_path, capsys):
+        argv = ["exit-experiment", "--beta", "3.5e5", "--a", "1e-3", "--n", "5", "--ks-threshold", "1"]
+        assert main([*argv, "--output-dir", str(tmp_path)]) == 0
+        assert _stdout_json(capsys)["accepted"] == 5
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("EXITGUMBEL_SEED", "777")
         code = main(

@@ -1,5 +1,6 @@
 """Exit-time simulation: the exact-step integrator, conditioning, pathwise coupling,
 and the closed-form limit law."""
+import hashlib
 import math
 import multiprocessing
 import re
@@ -60,6 +61,13 @@ class TestExitProblem:
             _problem(step=0.02)
         with pytest.raises(ValueError):
             _problem(step=0.0)
+
+    def test_beta_step_cap(self):
+        # e^(2*beta*step) overflows a double past beta*step ~ 354.9
+        for beta in (3.6e5, 1e6):
+            with pytest.raises(ValueError, match="beta\\*step"):
+                _problem(model=LinearDriftModel(beta), a=1e-3)
+        assert _problem(model=LinearDriftModel(3.5e5), a=1e-3).step == 1e-3
 
     def test_guard_default_and_minimum(self):
         p = _problem()
@@ -413,6 +421,47 @@ class TestBatchedKernel:
         "narrow": dict(epsilon=0.5),
     }
 
+    # slow: beta = 0.25 at the largest step, h = 1e-2; short: the steep
+    # problem with a guard of 1250 steps, so its last interval is 34 steps.
+    MORE_PROBLEMS = {
+        **PROBLEMS,
+        "slow": dict(model=LinearDriftModel(0.25), step=1e-2),
+        "short": dict(model=LinearDriftModel(20.0), a=0.2, guard_horizon=1.25),
+    }
+    # SHA-256 of the (attempt index, steps taken) pairs, as little-endian
+    # int64, of 200 right exits from RngStream(2028). A digest may change
+    # only with a deliberate change of the kernel's draws, or of numpy's
+    # Philox or normal streams, and that change is named in CHANGES.md.
+    PINNED = {
+        "a1": "4eb41c893232fa3f807dfb15243cab54d4df6b6250b64646474b195b4c087047",
+        "steep": "b22ee2a4a486da1800286278e95d9341db9ede035e2cdd076a09354d2604ddc7",
+        "narrow": "fcb491d6c50d0c6a9ac0ae3154f2ef8344d5b0c23e936df83fb3aabdb1f61382",
+        "slow": "3571237d63b8d8fa1e80c284be9b52574d8a8b96ad18a4416d90f873a4bf5564",
+    }
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_kernel_output_is_pinned(self, name):
+        got = sample_conditioned_exits(_problem(**self.MORE_PROBLEMS[name]), 200, RngStream(2028))
+        pairs = np.array([(i, r.steps_taken) for i, r in zip(got.attempt_indices, got.records)], dtype="<i8")
+        assert hashlib.sha256(pairs.tobytes()).hexdigest() == self.PINNED[name]
+
+    @pytest.mark.parametrize("name", ["a1", "steep", "slow", "narrow", "short"])
+    def test_settle_mask_needs_no_other_boundary_test(self, name):
+        # The kernel settles an attempt only at a knot <= floor or >= upper.
+        # A knot >= upper crosses at its interval's last fine step, whose
+        # boundary is upper bitwise; a knot <= lower is <= floor, with
+        # equality where c is clipped to the left boundary (narrow) or where
+        # both round to a (late knots, whose reach is below half an ulp of a).
+        p = _problem(**self.MORE_PROBLEMS[name])
+        t = exitsim._coarse_tables(p)
+        rows, ends = np.arange(t["start"].size), t["length"] - 1
+        assert np.array_equal(t["fine_upper"][rows, ends], t["upper"])
+        assert np.array_equal(t["fine_lower"][rows, ends], t["lower"])
+        assert np.all(t["floor"] >= t["lower"])
+        clipped = exitsim._rejection_depth(p) == p.bound
+        assert clipped == (name == "narrow")
+        assert np.array_equal(t["floor"] == t["lower"], clipped | (t["lower"] == p.a))
+
     @pytest.mark.parametrize("name", sorted(PROBLEMS))
     def test_law_matches_reference(self, name):
         p, n = _problem(**self.PROBLEMS[name]), 2000
@@ -439,9 +488,7 @@ class TestBatchedKernel:
         # V(k) = (1 - e^(-2 beta h k))/(2 beta) at every knot, and one
         # interval's fine-step noise variances to its bridge clock
         # (1 - g^-2i)/(2 beta); any error in the noise scale breaks both.
-        # slow: beta = 0.25 at the largest step, h = 1e-2.
-        kw = {**self.PROBLEMS, "slow": dict(model=LinearDriftModel(0.25), step=1e-2)}[name]
-        p = _problem(**kw)
+        p = _problem(**self.MORE_PROBLEMS[name])
         t = exitsim._coarse_tables(p)
         beta, h = p.model.beta, p.step
         clock = -np.expm1(-2.0 * beta * h * (t["start"] + t["length"])) / (2.0 * beta)
