@@ -38,7 +38,6 @@ from .exitsim import (
     ConditionedSample,
     ExitProblem,
     ExitRecord,
-    LinearDriftModel,
     NoiseRealization,
     duhamel_exit_time,
     limit_law_cdf,

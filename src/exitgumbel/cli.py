@@ -43,7 +43,6 @@ from .exitsim import (
     _MAX_GUARD_STEPS,
     MAX_STEP,
     ExitProblem,
-    LinearDriftModel,
     limit_law_cdf,
     right_exit_probability,
     sample_conditioned_exits,
@@ -55,6 +54,7 @@ from .stats import (
     RngStream,
     float_blocks,
     ks_one_sample,
+    ks_one_sample_critical,
     ks_two_sample_critical,
     write_float_csv,
     write_sample_csv,
@@ -73,6 +73,11 @@ _FIXED_POINT_TOL = 1e-13
 
 # Most points a curve grid may have.
 _MAX_GRID_POINTS = 10**7
+
+# exit-experiment's default KS threshold is this over sqrt(--n): a correct
+# sampler exceeds it with probability ~3e-8 (the Kolmogorov limit law), and
+# at n = 1e4 it is A1's gate, 0.03.
+_EXIT_KS_COEFFICIENT = 3.0
 
 
 class UsageError(Exception):
@@ -246,9 +251,7 @@ def cmd_exit_experiment(args) -> dict:
     """Sample conditioned exits, compare with the limit law, write samples
     and report the KS statistic."""
     try:
-        problem = ExitProblem(
-            model=LinearDriftModel(beta=args.beta), epsilon=args.epsilon, a=args.a, step=args.step
-        )
+        problem = ExitProblem(beta=args.beta, epsilon=args.epsilon, a=args.a, step=args.step)
     except ValueError as exc:  # the start -epsilon*a inside the domain, or beta*step
         flags = "--beta and --step" if args.beta * args.step > _MAX_BETA_STEP else "--epsilon and --a"
         raise UsageError(f"{flags}: {exc}") from exc
@@ -274,7 +277,9 @@ def cmd_exit_experiment(args) -> dict:
     p_limit = right_exit_probability(args.beta, args.a)
     rate = conditioned.acceptance_rate
     rate_se = math.sqrt(p_limit * (1.0 - p_limit) / conditioned.attempts)
-    ks_ok = ks <= args.ks_threshold
+    threshold = args.ks_threshold
+    if threshold is None:
+        threshold = ks_one_sample_critical(args.n, _EXIT_KS_COEFFICIENT)
     rate_ok = abs(rate - p_limit) <= 3.0 * rate_se
     return {
         "attempts": conditioned.attempts,
@@ -283,10 +288,10 @@ def cmd_exit_experiment(args) -> dict:
         "limit_acceptance_rate": p_limit,
         "acceptance_rate_within_3se": rate_ok,
         "ks_statistic": ks,
-        "ks_threshold": args.ks_threshold,
+        "ks_threshold": threshold,
         "samples_file": str(samples_path),
         "workers_used": conditioned.workers_used,
-        "pass": bool(ks_ok),
+        "pass": bool(ks <= threshold),
     }
 
 
@@ -504,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=_POSITIVE, default=1.0, help="start offset in noise units (start at -epsilon*a)")
     p.add_argument("--n", type=_at_least(1), default=10_000, help="conditioned samples to accept")
     p.add_argument("--step", type=_STEP, default=1e-3, help="integration step")
-    p.add_argument("--ks-threshold", type=_NONNEGATIVE, default=0.03)
+    p.add_argument("--ks-threshold", type=_NONNEGATIVE, default=None)
     p.add_argument("--budget", type=_at_least(1), default=10**9, help="attempt cap for rejection sampling")
     p.add_argument("--workers", type=_WORKERS, default=os.cpu_count() or 1, help="clamped to [1, CPU count]")
     _add_common(p)

@@ -11,7 +11,7 @@ import numpy as np
 
 from .distributions import TailModel, _each, _where
 from .errors import NoBracket
-from .stats import EmpiricalSample, RngStream
+from .stats import EmpiricalSample, RngStream, as_stream
 
 __all__ = [
     "NormalizingSequence",
@@ -146,10 +146,7 @@ def sample_normalized_max(model: TailModel, seq: NormalizingSequence, replicas: 
     """
     if replicas < 1:
         raise ValueError(f"replicas must be >= 1, got {replicas}")
-    if isinstance(rng, np.random.Generator):
-        raise TypeError("replica sampling needs an RngStream (or seed), not a Generator")
-    stream = rng if isinstance(rng, RngStream) else RngStream(int(rng))
-    u = _uniform_minima(stream, seq.n, replicas)
+    u = _uniform_minima(as_stream(rng), seq.n, replicas)
     maxima = _solve_log_tail(model, np.log(u), -_BRACKET_HIGH, _BRACKET_HIGH)
     return EmpiricalSample.from_values((maxima - seq.center) / seq.scale)
 
@@ -157,8 +154,7 @@ def sample_normalized_max(model: TailModel, seq: NormalizingSequence, replicas: 
 def _uniform_minima(stream: RngStream, n: int, replicas: int) -> np.ndarray:
     """u of replicas 0..replicas-1, drawn as `sample_normalized_max` says."""
     size = max(1, min(256, 2**22 // n))  # B: a level draws <= ~2^16 words a batch
-    gen = np.random.Generator(np.random.Philox(key=0))  # seated at each batch
-    batches = [_tournament(stream.seat(gen, b).bit_generator, n, size) for b in range(-(-replicas // size))]
+    batches = [_tournament(stream.substream(b).bit_generator, n, size) for b in range(-(-replicas // size))]
     return np.concatenate(batches)[:replicas]
 
 

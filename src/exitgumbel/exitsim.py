@@ -32,10 +32,9 @@ import numpy as np
 from .distributions import gaussian_tail, gaussian_tail_model
 from .errors import BudgetExceeded, GuardExceeded
 from .residual import log_residual_cdf
-from .stats import RngStream, as_generator
+from .stats import as_generator, as_stream
 
 __all__ = [
-    "LinearDriftModel",
     "ExitProblem",
     "ExitRecord",
     "NoiseRealization",
@@ -89,49 +88,40 @@ _BRIDGE_DELTA = 1e-15
 
 
 @dataclass(frozen=True)
-class LinearDriftModel:
-    """Linear drift b(x) = beta*x with slope beta > 0 (units 1/time)."""
-
-    beta: float
-
-    def __post_init__(self) -> None:
-        if not (self.beta > 0.0 and math.isfinite(self.beta)):
-            raise ValueError(f"beta must be positive and finite, got {self.beta}")
-
-
-@dataclass(frozen=True)
 class ExitProblem:
-    """One conditioned-exit experiment on the domain (-1, 1).
+    """One conditioned-exit experiment on the domain (-1, 1), under the
+    linear drift b(x) = beta*x with slope beta > 0 (units 1/time).
 
     Start point is -epsilon*a, strictly inside (-1, 0). The guard
     horizon caps simulated time; exits happen almost surely well before
     the default guard of centering + 40/beta.
     """
 
-    model: LinearDriftModel
+    beta: float
     epsilon: float
     a: float
     step: float = 1e-3
     guard_horizon: Optional[float] = None
 
     def __post_init__(self) -> None:
+        if not (self.beta > 0.0 and math.isfinite(self.beta)):
+            raise ValueError(f"beta must be positive and finite, got {self.beta}")
         if not (self.epsilon > 0.0 and math.isfinite(self.epsilon)):
             raise ValueError(f"epsilon must be positive, got {self.epsilon}")
         if not (self.a > 0.0 and math.isfinite(self.a)):
             raise ValueError(f"a must be positive, got {self.a}")
         if not (0.0 < self.step <= MAX_STEP):
             raise ValueError(f"step must be in (0, {MAX_STEP:g}], got {self.step}")
-        if not self.model.beta * self.step <= _MAX_BETA_STEP:
-            raise ValueError(f"beta*step must be at most {_MAX_BETA_STEP:g}, got {self.model.beta * self.step:g}")
+        if not self.beta * self.step <= _MAX_BETA_STEP:
+            raise ValueError(f"beta*step must be at most {_MAX_BETA_STEP:g}, got {self.beta * self.step:g}")
         if not (-1.0 < -self.epsilon * self.a < 0.0):
             raise ValueError(
                 f"start -epsilon*a = {-self.epsilon * self.a} must lie strictly "
                 "inside (-1, 0)"
             )
-        beta = self.model.beta
-        minimum_guard = self.centering_time + 20.0 / beta
+        minimum_guard = self.centering_time + 20.0 / self.beta
         if self.guard_horizon is None:
-            object.__setattr__(self, "guard_horizon", self.centering_time + 40.0 / beta)
+            object.__setattr__(self, "guard_horizon", self.centering_time + 40.0 / self.beta)
         elif self.guard_horizon < minimum_guard:
             raise ValueError(
                 f"guard_horizon {self.guard_horizon} is below the minimum "
@@ -141,7 +131,7 @@ class ExitProblem:
     @property
     def centering_time(self) -> float:
         """(1/beta) * ln(1/epsilon), the deterministic part of the exit time."""
-        return math.log(1.0 / self.epsilon) / self.model.beta
+        return math.log(1.0 / self.epsilon) / self.beta
 
     @property
     def bound(self) -> float:
@@ -238,13 +228,13 @@ def _chunk_schedule(problem: ExitProblem, growth: float):
     one pass; none exceeds 30/ln(g) steps, which keeps g^k within e^30,
     clipped to [16, _MAX_CHUNK]."""
     max_chunk = max(16, min(_MAX_CHUNK, int(30.0 / math.log(growth))))
-    target_time = max(problem.step, problem.centering_time + 2.0 / problem.model.beta)
+    target_time = max(problem.step, problem.centering_time + 2.0 / problem.beta)
     first = min(max_chunk, int(target_time / problem.step) + 16)
     return first, min(_FOLLOWUP_CHUNK, max_chunk)
 
 
 def _exact_coefficients(problem: ExitProblem):
-    beta, h = problem.model.beta, problem.step
+    beta, h = problem.beta, problem.step
     growth = math.exp(beta * h)
     noise_scale = math.sqrt(math.expm1(2.0 * beta * h) / (2.0 * beta))
     return growth, noise_scale
@@ -347,7 +337,7 @@ def duhamel_exit_time(noise: NoiseRealization, problem: ExitProblem) -> ExitReco
     of -a + I_t there. Alternative computation from the same noise, not a
     new simulation.
     """
-    if noise.beta != problem.model.beta:
+    if noise.beta != problem.beta:
         raise ValueError("noise and problem disagree on beta")
     shifted = -problem.a + noise.values
     path = problem.epsilon * np.exp(noise.beta * noise.times) * shifted
@@ -368,7 +358,7 @@ def duhamel_exit_time(noise: NoiseRealization, problem: ExitProblem) -> ExitReco
 def replay_exit_from_noise(problem: ExitProblem, noise: NoiseRealization) -> ExitRecord:
     """Run the exact-step integrator on the increments of a stored noise
     realization, for pathwise comparison with `duhamel_exit_time`."""
-    if noise.beta != problem.model.beta:
+    if noise.beta != problem.beta:
         raise ValueError("noise and problem disagree on beta")
     if abs(noise.step - problem.step) > 1e-12 * problem.step:
         raise ValueError("noise grid step must match the problem step")
@@ -479,7 +469,7 @@ def _rejection_depth(problem: ExitProblem) -> float:
     _REJECTION_DELTA. c is clipped to the left boundary, where the path
     exits anyway.
     """
-    c = _REJECTION_Z / math.sqrt(2.0 * problem.model.beta)
+    c = _REJECTION_Z / math.sqrt(2.0 * problem.beta)
     return min(c, problem.bound)
 
 
@@ -500,7 +490,7 @@ def _coarse_tables(problem: ExitProblem):
     boundaries a +- (1/eps)*(g^-start * g^-i), the same expressions as at
     the knots, and +-inf past the interval's length.
     """
-    beta, h = problem.model.beta, problem.step
+    beta, h = problem.beta, problem.step
     _, s = _exact_coefficients(problem)
     guard = problem.guard_steps
     start = np.arange(0, guard, _COARSE)
@@ -699,11 +689,9 @@ def sample_conditioned_exits(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     workers = max(1, workers)
-    if isinstance(rng, np.random.Generator):
-        raise TypeError("conditioned sampling needs an RngStream (or seed), not a Generator")
-    stream = rng if isinstance(rng, RngStream) else RngStream(int(rng))
+    stream = as_stream(rng)
 
-    p_limit = right_exit_probability(problem.model.beta, problem.a)
+    p_limit = right_exit_probability(problem.beta, problem.a)
     projected = math.inf if p_limit <= 0.0 else n_accept / p_limit
     if projected > budget:
         raise BudgetExceeded(

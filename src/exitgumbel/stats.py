@@ -16,6 +16,7 @@ import numpy as np
 __all__ = [
     "RngStream",
     "EmpiricalSample",
+    "as_stream",
     "as_generator",
     "ks_one_sample",
     "ks_two_sample",
@@ -57,46 +58,26 @@ class RngStream:
     def _key(self) -> int:
         return self.seed + (self.stream_id << 64)
 
-    @staticmethod
-    def _counter(index: int) -> tuple:
-        """Philox counter (256 bits) at which substream `index` starts,
-        index << 128, as 64-bit words, low word first."""
+    def substream(self, index: int) -> np.random.Generator:
+        """Independent generator for the given substream index: Philox at
+        counter index << 128, as 64-bit words, low word first."""
         if not (0 <= index < 1 << 128):
             raise ValueError(f"substream index must be in [0, 2^128), got {index}")
-        return (0, 0, index & _MASK64, index >> 64)
+        counter = np.array((0, 0, index & _MASK64, index >> 64), dtype=np.uint64)
+        return np.random.Generator(np.random.Philox(counter=counter, key=self._key()))
 
-    def generator(self) -> np.random.Generator:
-        """The stream's own generator (counter block 0)."""
-        return self.substream(0)
 
-    def substream(self, index: int) -> np.random.Generator:
-        """Independent generator for the given substream index."""
-        bit_gen = np.random.Philox(counter=np.array(self._counter(index), dtype=np.uint64), key=self._key())
-        return np.random.Generator(bit_gen)
-
-    def seat(self, gen: np.random.Generator, index: int) -> np.random.Generator:
-        """Move a Philox-backed `gen` to the start of substream `index` and
-        return it. Draws then equal those of `substream(index)`; setting the
-        state is several times cheaper than building a new bit generator. The
-        state setter copies each word, so immutable tuples serve as arrays."""
-        gen.bit_generator.state = {
-            "bit_generator": "Philox",
-            "state": {"counter": self._counter(index), "key": (self.seed, self.stream_id)},
-            "buffer": (0, 0, 0, 0),
-            "buffer_pos": 4,
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
-        return gen
+def as_stream(rng: RngStream | int) -> RngStream:
+    """Accept a stream or a bare seed. A ready generator is refused: a batch
+    sampler draws batch b from the stream's substream(b)."""
+    if isinstance(rng, np.random.Generator):
+        raise TypeError("batch sampling needs an RngStream (or seed), not a Generator")
+    return rng if isinstance(rng, RngStream) else RngStream(int(rng))
 
 
 def as_generator(rng: RngStream | np.random.Generator | int) -> np.random.Generator:
-    """Accept a stream, a ready generator, or a bare seed."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return RngStream(int(rng)).generator()
+    """Accept a stream (its substream 0), a ready generator, or a bare seed."""
+    return rng if isinstance(rng, np.random.Generator) else as_stream(rng).substream(0)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ import pytest
 from exitgumbel import (
     EmpiricalSample,
     ExitProblem,
-    LinearDriftModel,
     RngStream,
     duhamel_exit_time,
     gaussian_pdf,
@@ -52,7 +51,7 @@ def test_a1_conditioned_exit_times_match_limit_law():
     beta=1, epsilon=0.01, a=1, h=1e-3, 1e4 accepted; acceptance rate
     within 3 standard errors of tail(sqrt(2)) ~ 0.0786."""
     beta, eps, a = 1.0, 0.01, 1.0
-    problem = ExitProblem(model=LinearDriftModel(beta), epsilon=eps, a=a, step=1e-3)
+    problem = ExitProblem(beta=beta, epsilon=eps, a=a, step=1e-3)
     conditioned = sample_conditioned_exits(problem, 10_000, RngStream(42))
     sample = EmpiricalSample.from_values(conditioned.normalized_times())
     ks = ks_one_sample(sample, lambda x: limit_law_cdf(beta, a, x))
@@ -108,7 +107,7 @@ def test_a3_pathwise_duhamel_coupling():
             continue
         target = limit_normalized_time(noise, a)
         for eps in eps_levels:
-            problem = ExitProblem(model=LinearDriftModel(beta), epsilon=eps, a=a, step=h)
+            problem = ExitProblem(beta=beta, epsilon=eps, a=a, step=h)
             rec = duhamel_exit_time(noise, problem)
             errors[eps].append(abs(rec.normalized_time - target))
         collected += 1

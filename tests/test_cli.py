@@ -469,6 +469,14 @@ class TestCurveContract:
             _assert_curve(tmp_path / f"maxcdf_n{n}.csv", lambda x: max_cdf(model, seq, x), _scalar_limit(gumbel_cdf))
 
 
+def _fake_exits(problem, n, stream, budget, workers):
+    """Stands in for `sample_conditioned_exits`: n made-up right exits, no sampling."""
+    records = tuple(
+        ExitRecord(tau=5.0 + i, side="right", normalized_time=0.4 + i, steps_taken=5000 + i) for i in range(n)
+    )
+    return ConditionedSample(records=records, attempt_indices=tuple(range(n)), attempts=n)
+
+
 class TestExitExperiment:
     def test_small_run_and_repeatability(self, tmp_path, capsys):
         args = [
@@ -523,6 +531,23 @@ class TestExitExperiment:
         report = _stdout_json(capsys)
         assert code == 1
         assert report["pass"] is False
+
+    @pytest.mark.parametrize("seed", ["11", "4711"])
+    def test_default_ks_threshold_passes_a_healthy_small_run(self, tmp_path, capsys, seed):
+        # KS 0.0476 (seed 11) and 0.0419 (seed 4711) at --n 500, below the 5%
+        # value 1.36/sqrt(500) = 0.061; a fixed default of 0.03 failed both
+        code = main(["exit-experiment", "--n", "500", "--workers", "1", "--seed", seed, "--output-dir", str(tmp_path)])
+        report = _stdout_json(capsys)
+        assert code == 0
+        assert report["config"]["ks_threshold"] is None
+        assert report["ks_threshold"] == 3.0 / math.sqrt(500)
+
+    def test_default_ks_threshold_is_the_a1_gate_at_1e4(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "sample_conditioned_exits", _fake_exits)
+        main(["exit-experiment", "--n", "10000", "--output-dir", str(tmp_path)])
+        report = _stdout_json(capsys)
+        assert report["config"]["ks_threshold"] is None
+        assert report["ks_threshold"] == 0.03
 
     def test_budget_exceeded_is_runtime_error(self, tmp_path, capsys):
         code = main(
@@ -749,11 +774,7 @@ class TestInputGate:
 
         def fake_exits(problem, n, stream, budget, workers):
             seen.append(workers)
-            records = tuple(
-                ExitRecord(tau=5.0 + i, side="right", normalized_time=0.4 + i, steps_taken=5000 + i)
-                for i in range(n)
-            )
-            return ConditionedSample(records=records, attempt_indices=tuple(range(n)), attempts=n)
+            return _fake_exits(problem, n, stream, budget, workers)
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         monkeypatch.setattr(cli, "sample_conditioned_exits", fake_exits)

@@ -1,4 +1,5 @@
 """Normalizing sequences, exceedance-count curves, and block maxima."""
+import hashlib
 import math
 import sys
 import threading
@@ -369,7 +370,7 @@ class TestNormalizedMaxSampling:
     @pytest.mark.parametrize("workers", [1, 2, 3, 8])
     def test_every_worker_count_matches_per_replica_substreams(self, workers, replicas):
         # `workers` callers on their own threads share one stream; each call
-        # seats a generator of its own, so each matches the batch substreams
+        # builds generators of its own, so each matches the batch substreams
         seq = solve_normalizers(GAUSS, 50)
         stream = RngStream(3, 2)
         reference = _tournament_sample_reference(GAUSS, seq, stream, replicas)
@@ -389,6 +390,23 @@ class TestNormalizedMaxSampling:
             sys.setswitchinterval(interval)
         for values in threaded:
             np.testing.assert_array_equal(values.view(np.uint64), serial.values.view(np.uint64))
+
+    # SHA-256 of the u bytes of `_uniform_minima(RngStream(2029), n, replicas)`:
+    # B = 256 at n = 3 (cut inside the second batch), 1 at n = 2^22 + 1. A
+    # digest may change only with a deliberate change of the tournament's
+    # draws, or of numpy's Philox stream, and that change is named in
+    # CHANGES.md.
+    PINNED = {
+        (3, 300): "57aa44f18f98e552e562aa42fc4502b08b9ad133e75414511375cefaa030b317",
+        (1000, 600): "23afa61a0a2979a3895774c1267b20a8f56ab56744b6bf5d3c06d75037a95e17",
+        (10_000, 513): "95280c94463079080b20d8133f825d6e957331e03aff15c78b25c7f881243f44",
+        (2**22 + 1, 5): "518954d9690ccc3178e352abc45ecc84e772291493ba2adf98c44170fb7c42af",
+    }
+
+    @pytest.mark.parametrize("n, replicas", sorted(PINNED))
+    def test_uniform_minima_are_pinned(self, n, replicas):
+        u = _uniform_minima(RngStream(2029), n, replicas)
+        assert hashlib.sha256(u.tobytes()).hexdigest() == self.PINNED[n, replicas]
 
     @pytest.mark.parametrize("n", [3, 5, 10**4, 2**18])
     def test_minima_lie_on_the_53_bit_grid(self, n):
@@ -447,4 +465,4 @@ class TestNormalizedMaxSampling:
         with pytest.raises(ValueError):
             sample_normalized_max(GAUSS, seq, 0, RngStream(1))
         with pytest.raises(TypeError):
-            sample_normalized_max(GAUSS, seq, 10, RngStream(1).generator())
+            sample_normalized_max(GAUSS, seq, 10, RngStream(1).substream(0))

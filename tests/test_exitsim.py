@@ -16,7 +16,6 @@ from exitgumbel import (
     EmpiricalSample,
     ExitProblem,
     GuardExceeded,
-    LinearDriftModel,
     NoiseRealization,
     RngStream,
     duhamel_exit_time,
@@ -38,11 +37,9 @@ from exitgumbel import (
     truncated_gaussian,
 )
 
-BETA1 = LinearDriftModel(beta=1.0)
-
 
 def _problem(**kw):
-    defaults = dict(model=BETA1, epsilon=0.01, a=1.0, step=1e-3)
+    defaults = dict(beta=1.0, epsilon=0.01, a=1.0, step=1e-3)
     defaults.update(kw)
     return ExitProblem(**defaults)
 
@@ -62,12 +59,18 @@ class TestExitProblem:
         with pytest.raises(ValueError):
             _problem(step=0.0)
 
+    @pytest.mark.parametrize("beta", [0.0, -1.0, math.nan, math.inf])
+    def test_beta_positive_and_finite(self, beta):
+        # the CLI's parser refuses these first, so only a library call reaches this
+        with pytest.raises(ValueError, match="beta must be positive and finite"):
+            _problem(beta=beta)
+
     def test_beta_step_cap(self):
         # e^(2*beta*step) overflows a double past beta*step ~ 354.9
         for beta in (3.6e5, 1e6):
             with pytest.raises(ValueError, match="beta\\*step"):
-                _problem(model=LinearDriftModel(beta), a=1e-3)
-        assert _problem(model=LinearDriftModel(3.5e5), a=1e-3).step == 1e-3
+                _problem(beta=beta, a=1e-3)
+        assert _problem(beta=3.5e5, a=1e-3).step == 1e-3
 
     def test_guard_default_and_minimum(self):
         p = _problem()
@@ -133,7 +136,7 @@ class TestIntegrators:
         assert np.max(np.abs(x3 - 3.0 * x1)) <= 1e-12
 
     @pytest.mark.parametrize(
-        "kw", [dict(), dict(model=LinearDriftModel(20.0), a=0.2)], ids=["a1", "beta20"]
+        "kw", [dict(), dict(beta=20.0, a=0.2)], ids=["a1", "beta20"]
     )
     def test_path_leaves_where_exact_sampler_exits(self, kw):
         # same substream, same normals, same chunk schedule: the path
@@ -155,7 +158,7 @@ class TestIntegrators:
         # exact transition: X(t) is Gaussian with known mean/variance for
         # any step size; moment-match at t = 1 over 1e5 replicas
         beta, eps, a = 0.7, 0.02, 1.5
-        p = ExitProblem(model=LinearDriftModel(beta), epsilon=eps, a=a, step=1e-2)
+        p = ExitProblem(beta=beta, epsilon=eps, a=a, step=1e-2)
         stream = RngStream(21)
         n = 100_000
         vals = np.fromiter(
@@ -251,7 +254,7 @@ class TestPathwiseCoupling:
 
     def test_guard_exceeded_when_gap_vanishes(self):
         noise = _subcritical_noise()
-        p = ExitProblem(model=BETA1, epsilon=0.01, a=1.0, step=1e-2)
+        p = ExitProblem(beta=1.0, epsilon=0.01, a=1.0, step=1e-2)
         with pytest.raises(GuardExceeded):
             duhamel_exit_time(noise, p)
         with pytest.raises(GuardExceeded):
@@ -259,7 +262,7 @@ class TestPathwiseCoupling:
 
     def test_parameter_mismatch_rejected(self):
         noise = sample_noise(1.0, 1e-3, RngStream(73).substream(0))
-        bad_beta = ExitProblem(model=LinearDriftModel(2.0), epsilon=0.01, a=1.0, step=1e-3)
+        bad_beta = ExitProblem(beta=2.0, epsilon=0.01, a=1.0, step=1e-3)
         with pytest.raises(ValueError):
             duhamel_exit_time(noise, bad_beta)
         bad_step = _problem(step=5e-3)
@@ -273,7 +276,7 @@ class TestConditionedSampling:
         with pytest.raises(ValueError):
             sample_conditioned_exits(p, 0, RngStream(1))
         with pytest.raises(TypeError):
-            sample_conditioned_exits(p, 1, RngStream(1).generator())
+            sample_conditioned_exits(p, 1, RngStream(1).substream(0))
 
     def test_keeps_only_right_exits_in_attempt_order(self):
         p = _problem()
@@ -322,7 +325,7 @@ class TestConditionedSampling:
 
     def test_budget_projection_raises_early(self):
         # a*sqrt(2*beta) ~ 6: limit acceptance ~1e-9, hopeless for rejection
-        p = ExitProblem(model=BETA1, epsilon=1e-4, a=4.25, step=1e-3)
+        p = ExitProblem(beta=1.0, epsilon=1e-4, a=4.25, step=1e-3)
         with pytest.raises(BudgetExceeded):
             sample_conditioned_exits(p, 10, RngStream(1))
         with pytest.raises(BudgetExceeded):
@@ -417,7 +420,7 @@ class TestBatchedKernel:
     # boundary and almost every interval is refined.
     PROBLEMS = {
         "a1": dict(),
-        "steep": dict(model=LinearDriftModel(20.0), a=0.2),
+        "steep": dict(beta=20.0, a=0.2),
         "narrow": dict(epsilon=0.5),
     }
 
@@ -425,8 +428,8 @@ class TestBatchedKernel:
     # problem with a guard of 1250 steps, so its last interval is 34 steps.
     MORE_PROBLEMS = {
         **PROBLEMS,
-        "slow": dict(model=LinearDriftModel(0.25), step=1e-2),
-        "short": dict(model=LinearDriftModel(20.0), a=0.2, guard_horizon=1.25),
+        "slow": dict(beta=0.25, step=1e-2),
+        "short": dict(beta=20.0, a=0.2, guard_horizon=1.25),
     }
     # SHA-256 of the (attempt index, steps taken) pairs, as little-endian
     # int64, of 200 right exits from RngStream(2028). A digest may change
@@ -490,7 +493,7 @@ class TestBatchedKernel:
         # (1 - g^-2i)/(2 beta); any error in the noise scale breaks both.
         p = _problem(**self.MORE_PROBLEMS[name])
         t = exitsim._coarse_tables(p)
-        beta, h = p.model.beta, p.step
+        beta, h = p.beta, p.step
         clock = -np.expm1(-2.0 * beta * h * (t["start"] + t["length"])) / (2.0 * beta)
         np.testing.assert_allclose(np.cumsum(t["knot_sd"] ** 2), clock, rtol=1e-13, atol=0.0)
         bridge = -np.expm1(-2.0 * beta * h * np.arange(1, exitsim._COARSE + 1)) / (2.0 * beta)
@@ -541,7 +544,7 @@ class TestBatchedKernel:
     def test_bridge_fill_matches_bridge_law(self, m):
         # guard 1250 steps: the last interval is 34 steps long
         beta, h = 20.0, 1e-3
-        p = _problem(model=LinearDriftModel(beta), a=0.2, guard_horizon=1.25)
+        p = _problem(beta=beta, a=0.2, guard_horizon=1.25)
         t = exitsim._coarse_tables(p)
         m = m % t["start"].size
         start, length = int(t["start"][m]), int(t["length"][m])
@@ -583,7 +586,7 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("beta", [0.25, 1.0, 4.0])
     def test_rejection_depth_bounds_wrong_rejection(self, beta):
-        p = _problem(model=LinearDriftModel(beta))
+        p = _problem(beta=beta)
         c = exitsim._rejection_depth(p)
         assert c < 1.0 / p.epsilon
         assert math.log(2.0) + gaussian_log_tail(c * math.sqrt(2.0 * beta)) <= math.log(1e-15)
