@@ -43,7 +43,6 @@ from .exitsim import (
     limit_law_cdf,
     limit_law_sample,
     limit_normalized_time,
-    replay_exit_from_noise,
     right_exit_probability,
     sample_conditioned_exits,
     sample_noise,

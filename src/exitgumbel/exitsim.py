@@ -25,7 +25,7 @@ import math
 import time
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -44,7 +44,6 @@ __all__ = [
     "sample_conditioned_exits",
     "sample_noise",
     "duhamel_exit_time",
-    "replay_exit_from_noise",
     "limit_normalized_time",
     "truncated_gaussian",
     "limit_law_sample",
@@ -81,7 +80,7 @@ _ROUND = 16
 # exited right, and the Gaussian quantile with 2*tail(z) <= that bound
 # (see _rejection_depth).
 _REJECTION_DELTA = 1e-15
-_REJECTION_Z = 8.02685888253454
+_REJECTION_Z = 8.026858882534542
 # Bound on the chance that the path crosses a boundary inside a knot
 # interval that is not filled in at fine resolution.
 _BRIDGE_DELTA = 1e-15
@@ -240,20 +239,18 @@ def _exact_coefficients(problem: ExitProblem):
     return growth, noise_scale
 
 
-def _exact_chunks(problem: ExitProblem, draw: Callable[[int], np.ndarray], total: int):
+def _exact_chunks(problem: ExitProblem, gen: np.random.Generator, total: int):
     """Y_1..Y_total of the exact-step recursion Y <- g*Y + s*xi from
     Y_0 = -a, in Y = X/epsilon units, in the chunks of `_chunk_schedule`
     (the last one shorter). Each chunk is evaluated in closed form on
-    xi = draw(size), Y_k = g^k * (Y_0 + s * sum_j g^-j xi_j), identical to
-    stepping in exact arithmetic. Stops early when `draw` returns no values.
+    xi = gen.standard_normal(size), Y_k = g^k * (Y_0 + s * sum_j g^-j xi_j),
+    identical to stepping in exact arithmetic.
     """
     growth, noise_scale = _exact_coefficients(problem)
     size, rest = _chunk_schedule(problem, growth)
     y = -problem.a
     while total > 0:
-        xi = draw(min(size, total))
-        if xi.size == 0:
-            return
+        xi = gen.standard_normal(min(size, total))
         pos, neg = _power_arrays(growth, xi.size)
         ys = pos * (y + noise_scale * np.cumsum(neg * xi))
         yield ys
@@ -268,12 +265,16 @@ def _record(problem: ExitProblem, steps: int, side: str) -> ExitRecord:
     return ExitRecord(tau=tau, side=side, normalized_time=tau - problem.centering_time, steps_taken=steps)
 
 
-def _run_linear_exit(problem: ExitProblem, draw: Callable[[int], np.ndarray]) -> ExitRecord:
-    """First exit of the exact-step recursion from (-1, 1), shared by the
-    sampler and the noise replay; raises GuardExceeded without one."""
+def simulate_exit_exact(problem: ExitProblem, rng) -> ExitRecord:
+    """Simulate one exit with the exact Gaussian transition of the linear SDE.
+
+    Steps X(t+h) = e^(beta h) X(t) + epsilon*sqrt((e^(2 beta h)-1)/(2 beta))*xi
+    and stops at the first grid time with X outside (-1, 1). Raises
+    GuardExceeded if no exit occurs before the guard horizon.
+    """
     bound = problem.bound
     steps_done = 0
-    for ys in _exact_chunks(problem, draw, problem.guard_steps):
+    for ys in _exact_chunks(problem, as_generator(rng), problem.guard_steps):
         hit = np.abs(ys) >= bound
         if hit.any():
             k = int(np.argmax(hit))
@@ -285,31 +286,14 @@ def _run_linear_exit(problem: ExitProblem, draw: Callable[[int], np.ndarray]) ->
     )
 
 
-def simulate_exit_exact(problem: ExitProblem, rng) -> ExitRecord:
-    """Simulate one exit with the exact Gaussian transition of the linear SDE.
-
-    Steps X(t+h) = e^(beta h) X(t) + epsilon*sqrt((e^(2 beta h)-1)/(2 beta))*xi
-    and stops at the first grid time with X outside (-1, 1). Raises
-    GuardExceeded if no exit occurs before the guard horizon.
-    """
-    return _run_linear_exit(problem, as_generator(rng).standard_normal)
-
-
 def simulate_path(problem: ExitProblem, rng, n_steps: int) -> np.ndarray:
     """Exact-transition path of X at grid times 0..n_steps*h, not stopped
     at the boundary, on the normals and chunks `simulate_exit_exact` uses.
     Diagnostic surface for law and coupling checks."""
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    chunks = _exact_chunks(problem, as_generator(rng).standard_normal, n_steps)
+    chunks = _exact_chunks(problem, as_generator(rng), n_steps)
     return problem.epsilon * np.concatenate([[-problem.a], *chunks])
-
-
-def _increment_sds(beta: float, step: float, times: np.ndarray) -> np.ndarray:
-    """Sd of the discounted-noise increment over [t, t+step] for each t:
-    sqrt((e^(-2 beta t) - e^(-2 beta (t+step)))/(2 beta))."""
-    base = math.sqrt(-math.expm1(-2.0 * beta * step) / (2.0 * beta))
-    return base * np.exp(-beta * times)
 
 
 def sample_noise(beta: float, step: float, rng) -> NoiseRealization:
@@ -323,8 +307,8 @@ def sample_noise(beta: float, step: float, rng) -> NoiseRealization:
     if beta <= 0.0 or step <= 0.0:
         raise ValueError("beta and step must be positive")
     n = int(math.ceil(math.log(1.0 / _NOISE_DECAY_TARGET) / (beta * step))) + 1
-    gen = as_generator(rng)
-    increments = _increment_sds(beta, step, step * np.arange(n, dtype=float)) * gen.standard_normal(n)
+    base = math.sqrt(-math.expm1(-2.0 * beta * step) / (2.0 * beta))
+    increments = base * np.exp(-beta * (step * np.arange(n, dtype=float))) * as_generator(rng).standard_normal(n)
     return NoiseRealization(beta=beta, step=step, values=np.concatenate([[0.0], np.cumsum(increments)]))
 
 
@@ -334,11 +318,13 @@ def duhamel_exit_time(noise: NoiseRealization, problem: ExitProblem) -> ExitReco
     The solution factorizes as X(t) = epsilon*e^(beta t)*(-a + I_t) with
     I the discounted noise integral, so the exit is the first grid time
     where epsilon*e^(beta t)*|-a + I_t| reaches 1 and the side is the sign
-    of -a + I_t there. Alternative computation from the same noise, not a
-    new simulation.
+    of -a + I_t there. Tests compare it with `simulate_exit_exact` run on
+    the substream that drew the noise: same normals, same order.
     """
     if noise.beta != problem.beta:
         raise ValueError("noise and problem disagree on beta")
+    if abs(noise.step - problem.step) > 1e-12 * problem.step:
+        raise ValueError("noise grid step must match the problem step")
     shifted = -problem.a + noise.values
     path = problem.epsilon * np.exp(noise.beta * noise.times) * shifted
     hit = np.abs(path) >= 1.0
@@ -346,32 +332,7 @@ def duhamel_exit_time(noise: NoiseRealization, problem: ExitProblem) -> ExitReco
     if not hit.any():
         raise GuardExceeded("no boundary crossing on the noise grid")
     k = int(np.argmax(hit))
-    tau = float(noise.times[k])
-    return ExitRecord(
-        tau=tau,
-        side="right" if shifted[k] >= 0.0 else "left",
-        normalized_time=tau - problem.centering_time,
-        steps_taken=k,
-    )
-
-
-def replay_exit_from_noise(problem: ExitProblem, noise: NoiseRealization) -> ExitRecord:
-    """Run the exact-step integrator on the increments of a stored noise
-    realization, for pathwise comparison with `duhamel_exit_time`."""
-    if noise.beta != problem.beta:
-        raise ValueError("noise and problem disagree on beta")
-    if abs(noise.step - problem.step) > 1e-12 * problem.step:
-        raise ValueError("noise grid step must match the problem step")
-    xi = np.diff(noise.values) / _increment_sds(noise.beta, noise.step, noise.times[:-1])
-    cursor = 0
-
-    def draw(size: int) -> np.ndarray:
-        nonlocal cursor
-        chunk = xi[cursor : cursor + size]
-        cursor += chunk.size
-        return chunk
-
-    return _run_linear_exit(problem, draw)
+    return _record(problem, k, "right" if shifted[k] >= 0.0 else "left")
 
 
 def limit_normalized_time(noise: NoiseRealization, a: float) -> float:

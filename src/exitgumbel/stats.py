@@ -9,7 +9,7 @@ import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -106,16 +106,12 @@ class EmpiricalSample:
         return cls(values=arr)
 
 
-def _apply_cdf(cdf: Callable[[float], float], values: np.ndarray) -> np.ndarray:
-    return np.asarray([cdf(float(v)) for v in values], dtype=float)
-
-
-def ks_one_sample(sample: EmpiricalSample, cdf: Callable[[float], float] | np.ndarray) -> float:
-    """One-sample Kolmogorov-Smirnov statistic against a CDF: a callable,
-    applied to each sample value, or the CDF's values at `sample.values`
-    (from one call of a CDF that takes an array), one per value."""
+def ks_one_sample(sample: EmpiricalSample, cdf: np.ndarray) -> float:
+    """One-sample Kolmogorov-Smirnov statistic against a CDF, given as its
+    values at `sample.values` (from one call of a CDF that takes an array),
+    one per value."""
     n = sample.count
-    f = _apply_cdf(cdf, sample.values) if callable(cdf) else np.asarray(cdf, dtype=float)
+    f = np.asarray(cdf, dtype=float)
     if f.shape != sample.values.shape:
         raise ValueError(f"CDF values have shape {f.shape}, the sample {sample.values.shape}")
     i = np.arange(1, n + 1, dtype=float)

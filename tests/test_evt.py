@@ -305,20 +305,20 @@ class TestNormalizedMaxSampling:
         # evt's cross-check evaluates max_cdf once over the sorted replicas
         seq = solve_normalizers(GAUSS, 1000)
         sample = sample_normalized_max(GAUSS, seq, 2000, RngStream(seed=seed))
-        per_value = ks_one_sample(sample, lambda x: max_cdf(GAUSS, seq, x))
+        per_value = ks_one_sample(sample, [max_cdf(GAUSS, seq, float(x)) for x in sample.values])
         one_call = ks_one_sample(sample, max_cdf(GAUSS, seq, sample.values))
         assert one_call.hex() == per_value.hex()
 
     def test_matches_exact_finite_n_law(self):
         seq = solve_normalizers(GAUSS, 100)
         sample = sample_normalized_max(GAUSS, seq, 2000, RngStream(14))
-        stat = ks_one_sample(sample, lambda x: max_cdf(GAUSS, seq, x))
+        stat = ks_one_sample(sample, max_cdf(GAUSS, seq, sample.values))
         assert stat <= ks_one_sample_critical(2000)
 
     def test_exponential_maxima_match_their_finite_n_law(self):
         seq = solve_normalizers(EXPO, 100)
         sample = sample_normalized_max(EXPO, seq, 20_000, RngStream(15))
-        stat = ks_one_sample(sample, lambda x: max_cdf(EXPO, seq, x))
+        stat = ks_one_sample(sample, max_cdf(EXPO, seq, sample.values))
         assert stat <= ks_one_sample_critical(20_000)
 
     @pytest.mark.parametrize("model", [GAUSS, EXPO], ids=["gaussian", "exponential"])
