@@ -265,14 +265,11 @@ def cmd_exit_experiment(args) -> dict:
     conditioned = sample_conditioned_exits(
         problem, args.n, stream, budget=args.budget, workers=args.workers
     )
-    rows = [
-        (idx, rec.tau, rec.side, rec.normalized_time)
-        for idx, rec in zip(conditioned.attempt_indices, conditioned.records)
-    ]
+    attempt, _, tau, normalized = conditioned.columns()
     samples_path = Path(args.output_dir) / "exit_samples.csv"
-    write_sample_csv(samples_path, rows)
+    write_sample_csv(samples_path, attempt, tau, normalized)
 
-    sample = EmpiricalSample.from_values(conditioned.normalized_times())
+    sample = EmpiricalSample.from_values(normalized)
     ks = ks_one_sample(sample, limit_law_cdf(args.beta, args.a, sample.values))
     p_limit = right_exit_probability(args.beta, args.a)
     rate = conditioned.acceptance_rate

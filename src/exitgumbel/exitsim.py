@@ -194,11 +194,12 @@ class NoiseRealization:
 
 @dataclass(frozen=True)
 class ConditionedSample:
-    """Right-exit records kept by rejection, in attempt order, and the
-    number of processes that ran the attempts (1 when no pool started)."""
+    """Right exits kept by rejection, as (attempt index, fine steps) pairs in
+    attempt order, and the number of processes that ran the attempts (1 when
+    no pool started)."""
 
+    problem: ExitProblem
     records: tuple
-    attempt_indices: tuple
     attempts: int
     workers_used: int = field(default=1, compare=False)
 
@@ -206,8 +207,12 @@ class ConditionedSample:
     def acceptance_rate(self) -> float:
         return len(self.records) / self.attempts
 
-    def normalized_times(self) -> np.ndarray:
-        return np.asarray([r.normalized_time for r in self.records], dtype=float)
+    def columns(self):
+        """Attempt indices and steps (int64), tau = steps*h and the
+        normalized time tau - centering (float64): `_record`'s values."""
+        attempt, steps = np.array(self.records, dtype=np.int64).reshape(-1, 2).T
+        tau = steps * self.problem.step
+        return attempt, steps, tau, tau - self.problem.centering_time
 
 
 @lru_cache(maxsize=64)
@@ -602,7 +607,7 @@ def sample_conditioned_exits(
     budget: int = 10**9,
     workers: int = 1,
 ) -> ConditionedSample:
-    """Rejection-sample right-exit records until n_accept are kept.
+    """Rejection-sample right exits until n_accept are kept.
 
     Attempts run in blocks of one batch of _BATCH_ATTEMPTS, in-process and
     one at a time until the in-process time left reaches _POOL_BREAK_EVEN_S.
@@ -612,7 +617,7 @@ def sample_conditioned_exits(
     the blocks run in waves on a pool of `workers` processes, the first wave
     covering those blocks and each later one half the last, down to
     `workers` blocks. The noise for attempt i depends only on (stream,
-    i // _BATCH_ATTEMPTS), and accepted records are returned in attempt
+    i // _BATCH_ATTEMPTS), and accepted exits are returned in attempt
     order, so the result is identical for every worker count, whether a pool
     ran or not, and for every unexhausted budget; only `workers_used` tells.
     Raises BudgetExceeded when the attempt cap is (or is projected to be) insufficient, which
@@ -687,10 +692,5 @@ def sample_conditioned_exits(
             next_block = wave.stop
             wave_blocks = max(workers_used, wave_blocks // 2)
 
-    indices, steps = zip(*hits[:n_accept])
-    return ConditionedSample(
-        records=tuple(_record(problem, k, "right") for k in steps),
-        attempt_indices=indices,
-        attempts=indices[-1] + 1,
-        workers_used=workers_used,
-    )
+    records = tuple(hits[:n_accept])
+    return ConditionedSample(problem, records, attempts=records[-1][0] + 1, workers_used=workers_used)

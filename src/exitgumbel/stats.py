@@ -158,30 +158,31 @@ def float_blocks(column: np.ndarray) -> list[str]:
 
 
 def write_float_csv(path: str | Path, header: Sequence[str], columns: Sequence) -> None:
-    """Write equal-length float columns, each an array or its `float_blocks`
-    (at least one an array), as a header row and one row per value. Each
-    block of CSV_BLOCK_ROWS rows is one `%` of a repeated row template."""
+    """Write equal-length columns, each a float array, its `float_blocks` or
+    a str for every row (at least one an array), as a header row and one row
+    per value. Each block of CSV_BLOCK_ROWS rows is one `%` of a repeated row
+    template, which holds a str column as it is."""
     size = next(column.size for column in columns if isinstance(column, np.ndarray))
-    width = len(columns)
-    row = ",".join("%s" if isinstance(column, list) else "%" + FLOAT_FORMAT for column in columns) + "\r\n"
+    varying = [column for column in columns if not isinstance(column, str)]
+    width = len(varying)
+    row = ",".join(
+        c.replace("%", "%%") if isinstance(c, str) else "%s" if isinstance(c, list) else "%" + FLOAT_FORMAT for c in columns
+    ) + "\r\n"
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
         for block, start in enumerate(range(0, size, CSV_BLOCK_ROWS)):
             stop = min(start + CSV_BLOCK_ROWS, size)
             fields = [None] * (width * (stop - start))
-            for j, column in enumerate(columns):
+            for j, column in enumerate(varying):
                 fields[j::width] = column[block].split(",") if isinstance(column, list) else column[start:stop].tolist()
             fh.write(row * (stop - start) % tuple(fields))
 
 
-def write_sample_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
-    """Write (attempt_index, tau, side, normalized_time) rows under a header
-    row. Fields are numbers and bare words, so none needs quoting."""
-    float_field = "%" + FLOAT_FORMAT
-    line = ",".join(("%d", float_field, "%s", float_field)) + "\r\n"
-    with open(path, "w", newline="") as fh:
-        fh.write(",".join(SAMPLE_CSV_HEADER) + "\r\n")
-        fh.writelines(line % tuple(row) for row in rows)
+def write_sample_csv(path: str | Path, attempt: np.ndarray, tau: np.ndarray, normalized: np.ndarray) -> None:
+    """Write right exits as (attempt_index, tau, side, normalized_time) rows
+    under a header row, side "right" on each. Attempt indices are int64 and
+    print as integers (exact under FLOAT_FORMAT below 2^53)."""
+    write_float_csv(path, SAMPLE_CSV_HEADER, (attempt, tau, "right", normalized))
 
 
 def read_sample_csv(path: str | Path) -> list[tuple[int, float, str, float]]:

@@ -53,7 +53,7 @@ def test_a1_conditioned_exit_times_match_limit_law():
     beta, eps, a = 1.0, 0.01, 1.0
     problem = ExitProblem(beta=beta, epsilon=eps, a=a, step=1e-3)
     conditioned = sample_conditioned_exits(problem, 10_000, RngStream(42))
-    sample = EmpiricalSample.from_values(conditioned.normalized_times())
+    sample = EmpiricalSample.from_values(conditioned.columns()[3])
     ks = ks_one_sample(sample, limit_law_cdf(beta, a, sample.values))
 
     p = right_exit_probability(beta, a)

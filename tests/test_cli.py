@@ -2,6 +2,7 @@
 import argparse
 import ast
 import csv
+import hashlib
 import json
 import math
 import os
@@ -30,7 +31,7 @@ from exitgumbel import (
     solve_normalizers,
 )
 from exitgumbel.cli import main
-from exitgumbel.exitsim import ConditionedSample, ExitRecord
+from exitgumbel.exitsim import ConditionedSample
 
 
 def _strict(text):
@@ -471,10 +472,7 @@ class TestCurveContract:
 
 def _fake_exits(problem, n, stream, budget, workers):
     """Stands in for `sample_conditioned_exits`: n made-up right exits, no sampling."""
-    records = tuple(
-        ExitRecord(tau=5.0 + i, side="right", normalized_time=0.4 + i, steps_taken=5000 + i) for i in range(n)
-    )
-    return ConditionedSample(records=records, attempt_indices=tuple(range(n)), attempts=n)
+    return ConditionedSample(problem, records=tuple((i, 5000 + i) for i in range(n)), attempts=n)
 
 
 class TestExitExperiment:
@@ -501,6 +499,15 @@ class TestExitExperiment:
         capsys.readouterr()
         assert code == 0
         assert (tmp_path / "exit_samples.csv").read_bytes() == first_bytes
+
+    def test_sample_file_is_pinned(self, tmp_path, capsys):
+        # SHA-256 of exit_samples.csv from this invocation; it may change only
+        # with a deliberate change of the kernel's draws or of the file format
+        argv = ["exit-experiment", "--n", "300", "--seed", "11", "--workers", "1", "--output-dir", str(tmp_path)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        digest = hashlib.sha256((tmp_path / "exit_samples.csv").read_bytes()).hexdigest()
+        assert digest == "d1de9efaec4d8a5336f89d0cf705b3432c6c93f17fd253b250e2b3e09a5edcb3"
 
     def test_worker_count_changes_no_output(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core

@@ -284,9 +284,9 @@ class TestConditionedSampling:
         p = _problem()
         cs = sample_conditioned_exits(p, 40, RngStream(42))
         assert len(cs.records) == 40
-        assert all(r.side == "right" for r in cs.records)
-        assert list(cs.attempt_indices) == sorted(cs.attempt_indices)
-        assert cs.attempts == cs.attempt_indices[-1] + 1
+        indices = [i for i, _ in cs.records]
+        assert indices == sorted(indices)
+        assert cs.attempts == indices[-1] + 1
         assert 0.0 < cs.acceptance_rate < 1.0
 
     def test_deterministic_rerun(self):
@@ -447,8 +447,20 @@ class TestBatchedKernel:
     @pytest.mark.parametrize("name", sorted(PINNED))
     def test_kernel_output_is_pinned(self, name):
         got = sample_conditioned_exits(_problem(**self.MORE_PROBLEMS[name]), 200, RngStream(2028))
-        pairs = np.array([(i, r.steps_taken) for i, r in zip(got.attempt_indices, got.records)], dtype="<i8")
+        pairs = np.array(got.records, dtype="<i8")
         assert hashlib.sha256(pairs.tobytes()).hexdigest() == self.PINNED[name]
+
+    @pytest.mark.parametrize("name", sorted(PINNED))
+    def test_columns_are_the_record_map(self, name):
+        # columns() computes in numpy what _record computes per exit
+        p = _problem(**self.MORE_PROBLEMS[name])
+        got = sample_conditioned_exits(p, 200, RngStream(2028))
+        attempt, steps, tau, normalized = got.columns()
+        assert (attempt.dtype, steps.dtype, tau.dtype, normalized.dtype) == (np.int64, np.int64, np.float64, np.float64)
+        assert list(zip(attempt.tolist(), steps.tolist())) == list(got.records)
+        for (_, k), t, x in zip(got.records, tau.tolist(), normalized.tolist()):
+            want = exitsim._record(p, k, "right")
+            assert (t.hex(), x.hex()) == (want.tau.hex(), want.normalized_time.hex())
 
     @pytest.mark.parametrize("name", ["a1", "steep", "slow", "narrow", "short"])
     def test_settle_mask_needs_no_other_boundary_test(self, name):
@@ -479,7 +491,7 @@ class TestBatchedKernel:
             if rec.side == "right":
                 want.append(rec.normalized_time)
         ks = ks_two_sample(
-            EmpiricalSample.from_values(got.normalized_times()),
+            EmpiricalSample.from_values(got.columns()[3]),
             EmpiricalSample.from_values(want),
         )
         assert ks <= ks_two_sample_critical(n, n, 1.63)

@@ -131,11 +131,12 @@ class TestSampleCsv:
     def test_round_trip_exact(self, tmp_path):
         rows = [
             (0, 4.539, "right", -0.0661701859880921),
-            (17, 1.0 / 3.0, "left", math.pi),
+            (17, 1.0 / 3.0, "right", math.pi),
             (123456, 5.1234567890123456e-12, "right", -math.e),
         ]
         path = tmp_path / "samples.csv"
-        write_sample_csv(path, rows)
+        attempt, tau, _, normalized = zip(*rows)
+        write_sample_csv(path, np.array(attempt), np.array(tau), np.array(normalized))
         back = read_sample_csv(path)
         assert len(back) == 3
         for (i0, t0, s0, n0), (i1, t1, s1, n1) in zip(rows, back):
@@ -145,7 +146,7 @@ class TestSampleCsv:
 
     def test_rfc4180_shape(self, tmp_path):
         path = tmp_path / "samples.csv"
-        write_sample_csv(path, [(0, 1.0, "right", 2.0)])
+        write_sample_csv(path, np.array([0]), np.array([1.0]), np.array([2.0]))
         raw = path.read_bytes()
         assert raw.startswith(b"attempt_index,tau,side,normalized_time\r\n")
         assert raw.count(b"\r\n") == 2
