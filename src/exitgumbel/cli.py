@@ -265,12 +265,18 @@ def cmd_exit_experiment(args) -> dict:
     conditioned = sample_conditioned_exits(
         problem, args.n, stream, budget=args.budget, workers=args.workers
     )
-    attempt, _, tau, normalized = conditioned.columns()
+    attempt, steps, tau, normalized = conditioned.columns()
     samples_path = Path(args.output_dir) / "exit_samples.csv"
     write_sample_csv(samples_path, attempt, tau, normalized)
 
+    # The exit at fine step k is the first grid time at or after the path's
+    # crossing, so the sample's law puts the limit law F's mass over
+    # ((k-1)h - c, kh - c] on the lattice point kh - c: F there, and the
+    # left limit F((k-1)h - c).
     sample = EmpiricalSample.from_values(normalized)
-    ks = ks_one_sample(sample, limit_law_cdf(args.beta, args.a, sample.values))
+    below = (np.sort(steps) - 1) * problem.step - problem.centering_time
+    law = functools.partial(limit_law_cdf, args.beta, args.a)
+    ks = ks_one_sample(sample, law(sample.values), law(below))
     p_limit = right_exit_probability(args.beta, args.a)
     rate = conditioned.acceptance_rate
     rate_se = math.sqrt(p_limit * (1.0 - p_limit) / conditioned.attempts)

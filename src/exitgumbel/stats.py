@@ -106,17 +106,20 @@ class EmpiricalSample:
         return cls(values=arr)
 
 
-def ks_one_sample(sample: EmpiricalSample, cdf: np.ndarray) -> float:
+def ks_one_sample(sample: EmpiricalSample, cdf: np.ndarray, left: np.ndarray | None = None) -> float:
     """One-sample Kolmogorov-Smirnov statistic against a CDF, given as its
     values at `sample.values` (from one call of a CDF that takes an array),
-    one per value."""
+    one per value. For a law with atoms, `left` holds the CDF's left limits
+    at the same values, and D- is taken against them (Conover, JASA 1972);
+    without it the CDF is continuous there and is its own left limit."""
     n = sample.count
     f = np.asarray(cdf, dtype=float)
-    if f.shape != sample.values.shape:
-        raise ValueError(f"CDF values have shape {f.shape}, the sample {sample.values.shape}")
+    below = f if left is None else np.asarray(left, dtype=float)
+    if f.shape != sample.values.shape or below.shape != f.shape:
+        raise ValueError(f"CDF values have shape {f.shape} and {below.shape}, the sample {sample.values.shape}")
     i = np.arange(1, n + 1, dtype=float)
     d_plus = np.max(i / n - f)
-    d_minus = np.max(f - (i - 1.0) / n)
+    d_minus = np.max(below - (i - 1.0) / n)
     return float(max(d_plus, d_minus, 0.0))
 
 

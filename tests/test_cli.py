@@ -24,6 +24,7 @@ from exitgumbel import (
     gnedenko_lhs,
     gumbel_cdf,
     gumbel_density,
+    ks_one_sample_critical,
     max_cdf,
     scaled_residual,
     shifted_log_residual_cdf,
@@ -541,13 +542,27 @@ class TestExitExperiment:
 
     @pytest.mark.parametrize("seed", ["11", "4711"])
     def test_default_ks_threshold_passes_a_healthy_small_run(self, tmp_path, capsys, seed):
-        # KS 0.0476 (seed 11) and 0.0419 (seed 4711) at --n 500, below the 5%
+        # KS 0.0476 (seed 11) and 0.0415 (seed 4711) at --n 500, below the 5%
         # value 1.36/sqrt(500) = 0.061; a fixed default of 0.03 failed both
         code = main(["exit-experiment", "--n", "500", "--workers", "1", "--seed", seed, "--output-dir", str(tmp_path)])
         report = _stdout_json(capsys)
         assert code == 0
         assert report["config"]["ks_threshold"] is None
         assert report["ks_threshold"] == 3.0 / math.sqrt(500)
+
+    @pytest.mark.parametrize("seed", ["1", "2", "3"])
+    def test_ks_takes_the_step_lattice(self, tmp_path, capsys, seed):
+        # beta*h = 0.2 puts the normalized times on a lattice a fifth of the
+        # law's scale 1/beta apart. Against the continuous form of the KS
+        # statistic this sample reads 0.094, 0.084 and 0.084 (seeds 1-3), above
+        # the default 3/sqrt(n) = 0.067; against the lattice's left limits,
+        # 0.019, 0.016 and 0.007. A kernel off by one step reads above the 1%
+        # point either way.
+        argv = ["exit-experiment", "--beta", "20", "--a", "0.2", "--step", "1e-2", "--n", "2000"]
+        code = main([*argv, "--workers", "1", "--seed", seed, "--output-dir", str(tmp_path)])
+        report = _stdout_json(capsys)
+        assert code == 0
+        assert report["ks_statistic"] <= ks_one_sample_critical(2000)
 
     def test_default_ks_threshold_is_the_a1_gate_at_1e4(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "sample_conditioned_exits", _fake_exits)

@@ -102,6 +102,16 @@ class TestKsOneSample:
         s = EmpiricalSample.from_values(np.linspace(0.0, 1.0, 100))
         with pytest.raises(ValueError, match="shape"):
             ks_one_sample(s, cdf)
+        with pytest.raises(ValueError, match="shape"):
+            ks_one_sample(s, np.full(100, 0.5), left=cdf)
+
+    def test_left_limits_of_a_lattice_law(self):
+        # a die's faces, once each: its own law fits exactly once D- takes
+        # the left limits (k-1)/6; the continuous form reads 1/6
+        s = EmpiricalSample.from_values([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+        f = s.values / 6.0
+        assert ks_one_sample(s, f, left=(s.values - 1.0) / 6.0) == 0.0
+        assert ks_one_sample(s, f) == ks_one_sample(s, f, left=f) == pytest.approx(1.0 / 6.0, abs=1e-15)
 
 
 class TestKsTwoSample:
