@@ -75,8 +75,11 @@ def _solve_log_tail(model: TailModel, target: np.ndarray, lo: float, hi: float) 
     log-concave tail already lies below exp(-L). An element takes one last
     step from the first iterate with |log_tail(x) - target| <= 1e-13, which
     lands within rounding of the root, or stops where a step no longer
-    moves it. A step that leaves the bracket, or meets a zero density,
-    takes the bracket's midpoint instead, or stays put within tolerance.
+    moves it. The last step stands only if it lowers that residual: near
+    the root the residual is a multiple of the log tail's ulp, and a step
+    taken from a residual of one such ulp may land no closer. A step that
+    leaves the bracket, or meets a zero density, takes the bracket's
+    midpoint instead, or stays put within tolerance.
     Each element runs the scalar arithmetic (`math` calls per element).
     """
     lo = np.full(target.shape, lo)
@@ -85,10 +88,12 @@ def _solve_log_tail(model: TailModel, target: np.ndarray, lo: float, hi: float) 
     start = _where(L > 2.0, L, lambda L: 2.0 * L - _each(math.log, 4.0 * math.pi * L), lambda L: 2.0 * L)
     b = np.clip(np.sqrt(start), lo, hi)
     live = np.arange(b.size)  # the elements still moving
+    before, residual = b.copy(), np.full(b.shape, np.inf)  # each element's last iterate and its residual
     for _ in range(40):
         x = b[live]
         log_tail = model.log_tail(x)
         f = log_tail - target[live]
+        before[live], residual[live] = x, f
         lo[live] = l = np.where(f >= 0.0, np.maximum(lo[live], x), lo[live])
         hi[live] = h = np.where(f >= 0.0, hi[live], np.minimum(hi[live], x))
         density = _each(math.exp, model.log_pdf(x) - log_tail)  # pdf/tail, minus the slope
@@ -99,7 +104,7 @@ def _solve_log_tail(model: TailModel, target: np.ndarray, lo: float, hi: float) 
         live = live[moving & (b[live] != x)]
         if live.size == 0:
             break
-    return b
+    return np.where(np.abs(model.log_tail(b) - target) < np.abs(residual), b, before)
 
 
 def gnedenko_lhs(model: TailModel, seq: NormalizingSequence, x):

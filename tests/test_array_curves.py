@@ -74,6 +74,7 @@ def assert_bitwise(fn, xs):
 @settings(max_examples=200, deadline=None)
 @given(rs=radii)
 @example(rs=SWITCH)
+@example(rs=[-r for r in SWITCH])  # where the corrected erfc branch ends
 def test_gaussian_tail_functions(rs):
     for fn in (gaussian_tail, gaussian_log_tail, gaussian_pdf, gaussian_cdf, GAUSS.tail, GAUSS.log_tail):
         assert_bitwise(fn, rs)

@@ -12,6 +12,7 @@ import pytest
 
 from exitgumbel import (
     NonFiniteResult,
+    RngStream,
     exponential_tail_model,
     gaussian_cdf,
     gaussian_log_tail,
@@ -90,6 +91,18 @@ class TestGaussianTail:
             exact = mp.ncdf(-mp.mpf(float(r)))
             rel = abs(gaussian_tail(float(r)) - float(exact)) / float(exact)
             assert rel <= 1e-12, f"tail({r}) off by {rel}"
+
+    def test_erfc_branch_to_half_an_ulp_against_mpmath(self):
+        # erfc of the rounded r/sqrt(2) alone is off by ~r^2 ulps (5.7e-15 at
+        # r = 8); the first-order correction for that rounding keeps [0, 8]
+        # within 5e-16, and [-8, 0] within 2e-16
+        rs = np.concatenate([np.linspace(0.0, 8.0, 1601), RngStream(18).substream(0).uniform(0.0, 8.0, 400)])
+        for sign, bound in ((1.0, 5e-16), (-1.0, 2e-16)):
+            values = sign * rs
+            got = gaussian_tail(values)
+            assert np.array_equal(got, [gaussian_tail(float(r)) for r in values])
+            worst = max(abs((mp.mpf(t) - mp.ncdf(-mp.mpf(r))) / mp.ncdf(-mp.mpf(r))) for r, t in zip(values.tolist(), got.tolist()))
+            assert worst <= bound, f"sign {sign}: {float(worst):.3g}"
 
     def test_log_tail_frozen(self):
         assert gaussian_log_tail(40.0) == pytest.approx(-804.60844201375378817, rel=1e-14)
