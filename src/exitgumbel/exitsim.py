@@ -210,7 +210,7 @@ class ConditionedSample:
     def columns(self):
         """Attempt indices and steps (int64), tau = steps*h and the
         normalized time tau - centering (float64): `_record`'s values."""
-        attempt, steps = np.array(self.records, dtype=np.int64).reshape(-1, 2).T
+        attempt, steps = np.array(self.records, dtype=np.int64).T
         tau = steps * self.problem.step
         return attempt, steps, tau, tau - self.problem.centering_time
 
