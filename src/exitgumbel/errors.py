@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["ExitGumbelError", "GuardExceeded", "BudgetExceeded", "NoBracket", "NonFiniteResult"]
+
 
 class ExitGumbelError(Exception):
     """Base class for all package-specific errors."""

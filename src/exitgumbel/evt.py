@@ -18,7 +18,6 @@ __all__ = [
     "solve_normalizers",
     "gnedenko_lhs",
     "max_cdf",
-    "max_cdf_of_tail",
     "sample_normalized_max",
 ]
 

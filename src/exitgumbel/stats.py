@@ -16,17 +16,10 @@ import numpy as np
 __all__ = [
     "RngStream",
     "EmpiricalSample",
-    "as_stream",
-    "as_generator",
     "ks_one_sample",
     "ks_two_sample",
     "ks_one_sample_critical",
     "ks_two_sample_critical",
-    "FLOAT_FORMAT",
-    "SAMPLE_CSV_HEADER",
-    "CSV_BLOCK_ROWS",
-    "float_blocks",
-    "write_float_csv",
     "write_sample_csv",
     "read_sample_csv",
 ]
