@@ -10,8 +10,8 @@ class ExitGumbelError(Exception):
 class GuardExceeded(ExitGumbelError):
     """A simulated path did not exit before the guard horizon.
 
-    The process exits almost surely, so this signals a mis-sized horizon
-    (or, for replayed noise, a grid too short to contain the crossing).
+    The process exits almost surely, so this signals a mis-sized horizon;
+    `duhamel_exit_time` raises it when a noise grid holds no crossing.
     """
 
 
