@@ -44,6 +44,7 @@ from .exitsim import (
     MAX_STEP,
     ExitProblem,
     limit_law_cdf,
+    monitored_right_exit_probability,
     right_exit_probability,
     sample_conditioned_exits,
 )
@@ -277,18 +278,19 @@ def cmd_exit_experiment(args) -> dict:
     below = (np.sort(steps) - 1) * problem.step - problem.centering_time
     law = functools.partial(limit_law_cdf, args.beta, args.a)
     ks = ks_one_sample(sample, law(sample.values), law(below))
-    p_limit = right_exit_probability(args.beta, args.a)
+    p_monitored = monitored_right_exit_probability(problem)
     rate = conditioned.acceptance_rate
-    rate_se = math.sqrt(p_limit * (1.0 - p_limit) / conditioned.attempts)
+    rate_se = math.sqrt(p_monitored * (1.0 - p_monitored) / conditioned.attempts)
     threshold = args.ks_threshold
     if threshold is None:
         threshold = ks_one_sample_critical(args.n, _EXIT_KS_COEFFICIENT)
-    rate_ok = abs(rate - p_limit) <= 3.0 * rate_se
+    rate_ok = abs(rate - p_monitored) <= 3.0 * rate_se
     return {
         "attempts": conditioned.attempts,
         "accepted": len(conditioned.records),
         "acceptance_rate": rate,
-        "limit_acceptance_rate": p_limit,
+        "limit_acceptance_rate": right_exit_probability(args.beta, args.a),
+        "monitored_acceptance_rate": p_monitored,
         "acceptance_rate_within_3se": rate_ok,
         "ks_statistic": ks,
         "ks_threshold": threshold,

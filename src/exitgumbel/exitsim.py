@@ -49,6 +49,7 @@ __all__ = [
     "limit_law_sample",
     "limit_law_cdf",
     "right_exit_probability",
+    "monitored_right_exit_probability",
 ]
 
 # Horizon rule for noise realizations: run until exp(-beta*T) <= this, at
@@ -63,6 +64,8 @@ _MAX_BETA_STEP = 354.0  # e^(2*beta*step) in _exact_coefficients overflows past 
 # kernel's fine-step boundary tables take 16 bytes a step, ~270 MB at this
 # cap (A1 needs 44,606 steps).
 _MAX_GUARD_STEPS = 2**24
+
+_BGK_RHO = 0.5825971579390107  # -zeta(1/2)/sqrt(2 pi), the discrete-monitoring boundary shift
 
 _FOLLOWUP_CHUNK = 2048
 _MAX_CHUNK = 65536
@@ -422,6 +425,21 @@ def right_exit_probability(beta: float, a: float) -> float:
     """Small-noise limit of the right-exit probability: tail(a*sqrt(2 beta))."""
     r, _ = _limit_law_parameters(beta, a)
     return gaussian_tail(r)
+
+
+def monitored_right_exit_probability(problem: ExitProblem) -> float:
+    """Right-exit probability at finite epsilon, exits watched on the step grid.
+
+    Y = X/epsilon solves dY = beta*Y dt + dW on (-B, B), B = 1/epsilon,
+    from -a; its scale function gives [tail(r) - tail(R)]/(1 - 2 tail(R))
+    with r = a*sqrt(2 beta) and R = B'*sqrt(2 beta). Grid monitoring acts
+    as continuous monitoring with each end moved out to B' = B + rho*sqrt(h),
+    rho = -zeta(1/2)/sqrt(2 pi) (Broadie, Glasserman and Kou, Math. Finance
+    1997). Equals `right_exit_probability` once tail(R) underflows.
+    """
+    r, _ = _limit_law_parameters(problem.beta, problem.a)
+    far = gaussian_tail((problem.bound + _BGK_RHO * math.sqrt(problem.step)) * math.sqrt(2.0 * problem.beta))
+    return (gaussian_tail(r) - far) / (1.0 - 2.0 * far)
 
 
 def _rejection_depth(problem: ExitProblem) -> float:

@@ -32,7 +32,7 @@ from exitgumbel import (
     solve_normalizers,
 )
 from exitgumbel.cli import main
-from exitgumbel.exitsim import ConditionedSample
+from exitgumbel.exitsim import ConditionedSample, ExitProblem, monitored_right_exit_probability
 
 
 def _strict(text):
@@ -509,6 +509,21 @@ class TestExitExperiment:
         capsys.readouterr()
         digest = hashlib.sha256((tmp_path / "exit_samples.csv").read_bytes()).hexdigest()
         assert digest == "d1de9efaec4d8a5336f89d0cf705b3432c6c93f17fd253b250e2b3e09a5edcb3"
+
+    def test_rate_flag_takes_the_grid_monitored_rate(self, tmp_path, capsys, monkeypatch):
+        # seed 2's counts from the real sampler at --epsilon 0.5 --n 30000: the
+        # rate 0.076395 is 5.25 se below the epsilon -> 0 limit and 1.01 se
+        # below the rate at epsilon 0.5 with exits watched on the step grid
+        def exits(problem, n, stream, budget, workers):
+            return ConditionedSample(problem, records=tuple((i, 5000 + i) for i in range(n)), attempts=392_697)
+
+        monkeypatch.setattr(cli, "sample_conditioned_exits", exits)
+        main(["exit-experiment", "--epsilon", "0.5", "--n", "30000", "--output-dir", str(tmp_path)])
+        report = _stdout_json(capsys)
+        assert report["acceptance_rate"] == 30_000 / 392_697
+        problem = ExitProblem(beta=1.0, epsilon=0.5, a=1.0, step=1e-3)
+        assert report["monitored_acceptance_rate"] == monitored_right_exit_probability(problem)
+        assert report["acceptance_rate_within_3se"] is True
 
     def test_worker_count_changes_no_output(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)  # a pool even on one core

@@ -28,6 +28,7 @@ from exitgumbel import (
     limit_law_sample,
     limit_normalized_time,
     log_residual_density,
+    monitored_right_exit_probability,
     right_exit_probability,
     sample_conditioned_exits,
     sample_noise,
@@ -783,3 +784,25 @@ class TestLimitLaw:
             draws = limit_law_sample(1.0, a, RngStream(1), size=1000)
             one = limit_law_sample(1.0, a, RngStream(1))
         assert np.all(np.isfinite(draws)) and math.isfinite(one)
+
+
+class TestMonitoredRightExitProbability:
+    @pytest.mark.parametrize(
+        "beta, epsilon, a, step", [(1.0, 0.5, 1.0, 1e-3), (1.0, 0.2, 1.0, 1e-3), (20.0, 0.5, 0.2, 1e-2), (0.25, 0.3, 1.0, 1e-2)]
+    )
+    def test_against_mpmath_quadrature(self, beta, epsilon, a, step):
+        # the scale-function ratio of integrals of exp(-beta y^2), each end
+        # moved out by -zeta(1/2)/sqrt(2 pi) * sqrt(h)
+        with mp.workdps(40):
+            edge = 1 / mp.mpf(epsilon) - mp.zeta(0.5) / mp.sqrt(2 * mp.pi) * mp.sqrt(step)
+            density = lambda y: mp.exp(-beta * y * y)
+            want = mp.quad(density, [a, edge]) / mp.quad(density, [-edge, 0, edge])
+        got = monitored_right_exit_probability(_problem(beta=beta, epsilon=epsilon, a=a, step=step))
+        assert abs(got - want) <= 1e-14 * want
+
+    @pytest.mark.parametrize("epsilon", [1e-2, 1e-3])
+    @pytest.mark.parametrize("beta, a", [(1.0, 1.0), (20.0, 0.2), (0.25, 1.0)])
+    def test_small_noise_limit(self, epsilon, beta, a):
+        got = monitored_right_exit_probability(_problem(beta=beta, epsilon=epsilon, a=a))
+        want = right_exit_probability(beta, a)
+        assert abs(got - want) <= 1e-15 * want
