@@ -263,9 +263,7 @@ def cmd_exit_experiment(args) -> dict:
             f"steps, more than the {_MAX_GUARD_STEPS} the exit kernel can tabulate"
         )
     stream = RngStream(seed=args.seed)
-    conditioned = sample_conditioned_exits(
-        problem, args.n, stream, budget=args.budget, workers=args.workers
-    )
+    conditioned = sample_conditioned_exits(problem, args.n, stream, workers=args.workers)
     attempt, steps, tau, normalized = conditioned.columns()
     samples_path = Path(args.output_dir) / "exit_samples.csv"
     write_sample_csv(samples_path, attempt, tau, normalized)
@@ -515,7 +513,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=_at_least(1), default=10_000, help="conditioned samples to accept")
     p.add_argument("--step", type=_STEP, default=1e-3, help="integration step")
     p.add_argument("--ks-threshold", type=_NONNEGATIVE, default=None)
-    p.add_argument("--budget", type=_at_least(1), default=10**9, help="attempt cap for rejection sampling")
     p.add_argument("--workers", type=_WORKERS, default=os.cpu_count() or 1, help="clamped to [1, CPU count]")
     _add_common(p)
     p.set_defaults(func=cmd_exit_experiment)

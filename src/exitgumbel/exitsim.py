@@ -23,7 +23,7 @@ from __future__ import annotations
 import contextlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
 
@@ -69,13 +69,15 @@ _BGK_RHO = 0.5825971579390107  # -zeta(1/2)/sqrt(2 pi), the discrete-monitoring 
 
 _FOLLOWUP_CHUNK = 2048
 _MAX_CHUNK = 65536
-# Conditioned sampling runs its attempts in blocks of one lockstep batch of
-# _BATCH_ATTEMPTS on one substream, in-process or, once its projected
+# Conditioned sampling runs its attempts in whole lockstep batches of
+# _BATCH_ATTEMPTS, one substream each, up to _MAX_ATTEMPTS attempts rounded
+# up to a whole batch, in-process or, once its projected
 # in-process time left reaches _POOL_BREAK_EVEN_S seconds (about what
 # starting and feeding a process pool costs), in a pool; results never
 # depend on which. Noise is simulated at knots every _COARSE fine steps,
 # _ROUND knots per attempt per round (_batch_right_exits).
 _BATCH_ATTEMPTS = 1024
+_MAX_ATTEMPTS = 10**9
 _POOL_BREAK_EVEN_S = 0.2
 _COARSE = 64
 _ROUND = 16
@@ -197,14 +199,20 @@ class NoiseRealization:
 
 @dataclass(frozen=True)
 class ConditionedSample:
-    """Right exits kept by rejection, as (attempt index, fine steps) pairs in
-    attempt order, and the number of processes that ran the attempts (1 when
-    no pool started)."""
+    """Right exits kept by rejection, as an (n, 2) int64 array of (attempt
+    index, fine steps) rows in attempt order, and the number of processes
+    that ran the attempts (1 when no pool started), which `==` ignores."""
 
     problem: ExitProblem
-    records: tuple
+    records: np.ndarray
     attempts: int
-    workers_used: int = field(default=1, compare=False)
+    workers_used: int = 1
+
+    def __eq__(self, other):
+        if not isinstance(other, ConditionedSample):
+            return NotImplemented
+        same = (self.problem, self.attempts) == (other.problem, other.attempts)
+        return same and np.array_equal(self.records, other.records)
 
     @property
     def acceptance_rate(self) -> float:
@@ -213,7 +221,7 @@ class ConditionedSample:
     def columns(self):
         """Attempt indices and steps (int64), tau = steps*h and the
         normalized time tau - centering (float64): `_record`'s values."""
-        attempt, steps = np.array(self.records, dtype=np.int64).T
+        attempt, steps = self.records.T
         tau = steps * self.problem.step
         return attempt, steps, tau, tau - self.problem.centering_time
 
@@ -551,12 +559,12 @@ def _knot_round(t, lo, hi, x0, gen):
     return np.cumsum(path, axis=1, out=path)
 
 
-def _batch_right_exits(problem, attempts, gen):
-    """Right exits of a lockstep batch of attempts, as (attempt, steps) pairs
-    in attempt order.
+def _batch_right_exits(problem, stream, batch):
+    """Right exits of batch `batch`, attempts batch*_BATCH_ATTEMPTS onward,
+    as int64 arrays (attempt, steps) in attempt order.
 
-    Row r runs attempt attempts[r], a whole aligned batch, on `gen`, the
-    generator of substream attempts.start // _BATCH_ATTEMPTS. Each round
+    Row r runs attempt batch*_BATCH_ATTEMPTS + r, in lockstep with the
+    others, on `stream.substream(batch)`. Each round
     draws I at the next _ROUND knots of all live rows (`_knot_round`). An
     attempt settles at its first knot at or below the floor a - c*g^-k (see
     `_rejection_depth`) or at or above the right boundary. No other test is
@@ -565,16 +573,18 @@ def _batch_right_exits(problem, attempts, gen):
     fine step is the knot, tested against that boundary bitwise. The
     intervals that `_needs_refining` flags, up to that knot, are filled by
     `_bridge_fill` from one draw for all of them (row-major) and tested at
-    every fine step; an attempt ends at its first crossing, kept if right,
-    with its fine-step index. Which rows receive a round's fresh normals
-    depends only on earlier draws, so each attempt keeps the reference law.
+    every fine step; an attempt ends at its first crossing, and a right one
+    writes its fine-step index at its row of `steps` (0: no right exit).
+    Which rows receive a round's fresh normals depends only on earlier
+    draws, so each attempt keeps the reference law.
     """
     t = _coarse_tables(problem)
     intervals = t["start"].size
+    gen = stream.substream(batch)
 
-    index = np.asarray(attempts)
-    x0 = np.zeros(index.size)
-    hits = []
+    steps = np.zeros(_BATCH_ATTEMPTS, dtype=np.int64)
+    rows = np.arange(_BATCH_ATTEMPTS)
+    x0 = np.zeros(_BATCH_ATTEMPTS)
     for lo in range(0, intervals, _ROUND):
         hi = min(lo + _ROUND, intervals)
         path = _knot_round(t, lo, hi, x0, gen)
@@ -596,49 +606,35 @@ def _batch_right_exits(problem, attempts, gen):
             p = crossing[np.diff(pr[crossing], prepend=-1) != 0]
             k = crossed[p].argmax(axis=1)
             exits = right[p, k]
-            hits += zip(index[pr[p[exits]]].tolist(), (t["start"][m[p[exits]]] + k[exits] + 1).tolist())
+            steps[rows[pr[p[exits]]]] = t["start"][m[p[exits]]] + k[exits] + 1
             done[pr[p]] = True
 
         if done.all():
-            return sorted(hits)
-        index, x0 = index[~done], knots[~done, -1]
+            hit = np.flatnonzero(steps)
+            return batch * _BATCH_ATTEMPTS + hit, steps[hit]
+        rows, x0 = rows[~done], knots[~done, -1]
     raise GuardExceeded(
         f"no exit within guard horizon {problem.guard_horizon} "
         f"({problem.guard_steps} steps)"
     )
 
 
-def _conditioned_block(args):
-    """Right exits of attempts [start, stop), one batch, as (attempt, steps)
-    pairs in attempt order. A batch that `stop` cuts runs whole, so no
-    attempt's noise depends on the budget."""
-    problem, stream, start, stop = args
-    gen = stream.substream(start // _BATCH_ATTEMPTS)
-    batch = _batch_right_exits(problem, range(start, start + _BATCH_ATTEMPTS), gen)
-    return [hit for hit in batch if hit[0] < stop]
-
-
-def sample_conditioned_exits(
-    problem: ExitProblem,
-    n_accept: int,
-    rng,
-    budget: int = 10**9,
-    workers: int = 1,
-) -> ConditionedSample:
+def sample_conditioned_exits(problem: ExitProblem, n_accept: int, rng, workers: int = 1) -> ConditionedSample:
     """Rejection-sample right exits until n_accept are kept.
 
-    Attempts run in blocks of one batch of _BATCH_ATTEMPTS, in-process and
+    Attempts run in batches of _BATCH_ATTEMPTS, in-process and
     one at a time until the in-process time left reaches _POOL_BREAK_EVEN_S.
-    That time is projected as the seconds per block so far (0 before the
-    first block) times the blocks still needed for n_accept plus 4 standard
+    That time is projected as the seconds per batch so far (0 before the
+    first batch) times the batches still needed for n_accept plus 4 standard
     deviations at the limit acceptance rate. From then on, if workers > 1,
-    the blocks run in waves on a pool of `workers` processes, the first wave
-    covering those blocks and each later one half the last, down to
-    `workers` blocks. The noise for attempt i depends only on (stream,
+    the batches run in waves on a pool of `workers` processes, the first wave
+    covering those batches and each later one half the last, down to
+    `workers` batches. The noise for attempt i depends only on (stream,
     i // _BATCH_ATTEMPTS), and accepted exits are returned in attempt
-    order, so the result is identical for every worker count, whether a pool
-    ran or not, and for every unexhausted budget; only `workers_used` tells.
-    Raises BudgetExceeded when the attempt cap is (or is projected to be) insufficient, which
+    order, so the result is identical for every worker count and whether a
+    pool ran or not; only `workers_used` tells.
+    Raises BudgetExceeded when _MAX_ATTEMPTS attempts are (or are projected
+    at the limit acceptance rate to be) insufficient, which
     signals that the right exit is too rare for rejection and the limit-law
     sampler should be used.
 
@@ -670,28 +666,25 @@ def sample_conditioned_exits(
     """
     if n_accept < 1:
         raise ValueError(f"n_accept must be >= 1, got {n_accept}")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
     workers = max(1, workers)
     stream = as_stream(rng)
 
     p_limit = right_exit_probability(problem.beta, problem.a)
     projected = math.inf if p_limit <= 0.0 else n_accept / p_limit
-    if projected > budget:
+    if projected > _MAX_ATTEMPTS:
         raise BudgetExceeded(
-            f"projected attempts ~{projected:.3g} exceed budget {budget} "
+            f"projected attempts ~{projected:.3g} exceed budget {_MAX_ATTEMPTS} "
             f"(limit acceptance rate {p_limit:.3g}); use limit_law_sample instead"
         )
 
-    max_blocks = int(math.ceil(budget / _BATCH_ATTEMPTS))
-    estimate = int(math.ceil((n_accept + 4.0 * math.sqrt(n_accept) + 16.0) / p_limit))
-    estimate_blocks = int(math.ceil(estimate / _BATCH_ATTEMPTS))
-    hits, next_block, wave_blocks = [], 0, 1
+    max_blocks = math.ceil(_MAX_ATTEMPTS / _BATCH_ATTEMPTS)
+    estimate_blocks = math.ceil((n_accept + 4.0 * math.sqrt(n_accept) + 16.0) / p_limit / _BATCH_ATTEMPTS)
+    hits, accepted, next_block, wave_blocks = [], 0, 0, 1
     run, workers_used, started = map, 1, time.perf_counter()
     with contextlib.ExitStack() as stack:  # shuts a pool down on every exit
-        while len(hits) < n_accept:
+        while accepted < n_accept:
             if next_block >= max_blocks:
-                raise BudgetExceeded(f"budget {budget} exhausted with {len(hits)} acceptances")
+                raise BudgetExceeded(f"budget {_MAX_ATTEMPTS} exhausted with {accepted} acceptances")
             if workers_used < workers:  # no pool yet, and one may start
                 left = estimate_blocks - next_block
                 per_block = (time.perf_counter() - started) / next_block if next_block else 0.0
@@ -701,14 +694,11 @@ def sample_conditioned_exits(
                     run = stack.enter_context(futures.ProcessPoolExecutor(max_workers=workers)).map
                     workers_used, wave_blocks = workers, max(workers, left)
             wave = range(next_block, min(next_block + wave_blocks, max_blocks))
-            tasks = [
-                (problem, stream, b * _BATCH_ATTEMPTS, min((b + 1) * _BATCH_ATTEMPTS, budget))
-                for b in wave
-            ]
-            for block_hits in run(_conditioned_block, tasks):
-                hits.extend(block_hits)
+            for batch in run(_batch_right_exits, [problem] * len(wave), [stream] * len(wave), wave):
+                hits.append(batch)
+                accepted += batch[0].size
             next_block = wave.stop
             wave_blocks = max(workers_used, wave_blocks // 2)
 
-    records = tuple(hits[:n_accept])
-    return ConditionedSample(problem, records, attempts=records[-1][0] + 1, workers_used=workers_used)
+    records = np.concatenate(hits, axis=1).T[:n_accept]
+    return ConditionedSample(problem, records, attempts=int(records[-1, 0]) + 1, workers_used=workers_used)

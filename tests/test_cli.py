@@ -471,9 +471,14 @@ class TestCurveContract:
             _assert_curve(tmp_path / f"maxcdf_n{n}.csv", lambda x: max_cdf(model, seq, x), _scalar_limit(gumbel_cdf))
 
 
-def _fake_exits(problem, n, stream, budget, workers):
+def _fake_records(n):
+    """n made-up right exits: attempts 0..n-1 at steps 5000 + attempt."""
+    return np.arange(n)[:, None] + np.array([0, 5000])
+
+
+def _fake_exits(problem, n, stream, workers):
     """Stands in for `sample_conditioned_exits`: n made-up right exits, no sampling."""
-    return ConditionedSample(problem, records=tuple((i, 5000 + i) for i in range(n)), attempts=n)
+    return ConditionedSample(problem, records=_fake_records(n), attempts=n)
 
 
 class TestExitExperiment:
@@ -514,8 +519,8 @@ class TestExitExperiment:
         # seed 2's counts from the real sampler at --epsilon 0.5 --n 30000: the
         # rate 0.076395 is 5.25 se below the epsilon -> 0 limit and 1.01 se
         # below the rate at epsilon 0.5 with exits watched on the step grid
-        def exits(problem, n, stream, budget, workers):
-            return ConditionedSample(problem, records=tuple((i, 5000 + i) for i in range(n)), attempts=392_697)
+        def exits(problem, n, stream, workers):
+            return ConditionedSample(problem, records=_fake_records(n), attempts=392_697)
 
         monkeypatch.setattr(cli, "sample_conditioned_exits", exits)
         main(["exit-experiment", "--epsilon", "0.5", "--n", "30000", "--output-dir", str(tmp_path)])
@@ -762,7 +767,6 @@ RANGED_FLAGS = [
     ("exit-experiment", "--n", _int_at_least(1)),
     ("exit-experiment", "--step", _number(float, lambda v: 0.0 < v <= 1e-2)),
     ("exit-experiment", "--ks-threshold", _NONNEGATIVE),
-    ("exit-experiment", "--budget", _int_at_least(1)),
     ("density-convergence", "--r", _POSITIVE),
     ("density-convergence", "--tolerance", _NONNEGATIVE),
     *[("density-convergence", flag, rule) for flag, rule in _GRID],
@@ -809,9 +813,9 @@ class TestInputGate:
     def test_workers_clamped_to_cpu_count(self, tmp_path, capsys, monkeypatch, subcommand):
         seen = []
 
-        def fake_exits(problem, n, stream, budget, workers):
+        def fake_exits(problem, n, stream, workers):
             seen.append(workers)
-            return _fake_exits(problem, n, stream, budget, workers)
+            return _fake_exits(problem, n, stream, workers)
 
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 3)
         monkeypatch.setattr(cli, "sample_conditioned_exits", fake_exits)

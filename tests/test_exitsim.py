@@ -326,13 +326,14 @@ class TestConditionedSampling:
         for workers in (0, -3):
             assert sample_conditioned_exits(p, n, RngStream(17), workers=workers) == serial
 
-    def test_budget_projection_raises_early(self):
+    def test_budget_projection_raises_early(self, monkeypatch):
         # a*sqrt(2*beta) ~ 6: limit acceptance ~1e-9, hopeless for rejection
         p = ExitProblem(beta=1.0, epsilon=1e-4, a=4.25, step=1e-3)
         with pytest.raises(BudgetExceeded):
             sample_conditioned_exits(p, 10, RngStream(1))
+        monkeypatch.setattr(exitsim, "_MAX_ATTEMPTS", 500)
         with pytest.raises(BudgetExceeded):
-            sample_conditioned_exits(_problem(), 1000, RngStream(1), budget=500)
+            sample_conditioned_exits(_problem(), 1000, RngStream(1))
 
     def test_acceptance_rate_near_limit(self):
         p = _problem()
@@ -353,47 +354,36 @@ class TestConditionedSampling:
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_budget_exhaustion(self, monkeypatch, workers):
-        # The budget ends exactly at the sampler's own n-th right exit. n is
-        # the smallest n >= 39 at which that budget is not refused by the
-        # projection (n + 1)/p; re-derive it by that rule when the sample
+        # The cap of two whole batches ends exactly at the sampler's own n-th
+        # right exit: n is the number of right exits in the first two batches
+        # for seed 1. Two is the fewest batches whose count the projection
+        # (n + 1)/p does not refuse; re-derive n by that rule when the sample
         # for seed 1 changes.
-        p, n = _problem(), 92
+        p, n = _problem(), 154
         stream = RngStream(1)
         unbounded = sample_conditioned_exits(p, n, stream)
-        budget = unbounded.attempts
-        assert (n + 1) / right_exit_probability(1.0, 1.0) <= budget  # not refused by projection
+        cap = 2 * exitsim._BATCH_ATTEMPTS
+        assert cap - exitsim._BATCH_ATTEMPTS < unbounded.attempts <= cap
+        assert (n + 1) / right_exit_probability(1.0, 1.0) <= cap  # not refused by projection
         monkeypatch.setattr(exitsim, "_POOL_BREAK_EVEN_S", 0.0)
-        cs = sample_conditioned_exits(p, n, stream, budget=budget, workers=workers)
+        monkeypatch.setattr(exitsim, "_MAX_ATTEMPTS", cap)
+        cs = sample_conditioned_exits(p, n, stream, workers=workers)
         assert cs == unbounded
         assert cs.workers_used == workers
-        with pytest.raises(BudgetExceeded, match=f"exhausted with {n}"):
-            sample_conditioned_exits(p, n + 1, stream, budget=budget, workers=workers)
-
-    @pytest.mark.parametrize("workers", [1, 2])
-    @pytest.mark.parametrize("seed", [1, 3])
-    def test_budget_ending_mid_batch_keeps_the_records(self, monkeypatch, seed, workers):
-        # A budget that cuts a batch of a later block must not change the
-        # noise of the attempts before it: the cut batch still runs whole.
-        p, n = _problem(), 300
-        unbounded = sample_conditioned_exits(p, n, RngStream(seed))
-        budget = unbounded.attempts
-        assert budget > exitsim._BATCH_ATTEMPTS and budget % exitsim._BATCH_ATTEMPTS != 0
-        monkeypatch.setattr(exitsim, "_POOL_BREAK_EVEN_S", 0.0)
-        cut = sample_conditioned_exits(p, n, RngStream(seed), budget=budget, workers=workers)
-        assert cut == unbounded
-        assert cut.workers_used == workers
+        with pytest.raises(BudgetExceeded, match=f"exhausted with {n} "):
+            sample_conditioned_exits(p, n + 1, stream, workers=workers)
 
     @pytest.mark.parametrize("error", [BudgetExceeded, GuardExceeded])
     def test_failed_pool_run_leaves_no_worker(self, monkeypatch, error):
         # The pool is entered lazily; it must still shut down when the run
         # ends in an error, raised between waves or from inside one.
         monkeypatch.setattr(exitsim, "_POOL_BREAK_EVEN_S", 0.0)
-        p, n = _problem(), 93
-        budget = sample_conditioned_exits(p, n - 1, RngStream(1)).attempts
+        monkeypatch.setattr(exitsim, "_MAX_ATTEMPTS", 2 * exitsim._BATCH_ATTEMPTS)
+        p, n = _problem(), 155  # one more than the first two batches hold (test_budget_exhaustion)
         if error is GuardExceeded:
             object.__setattr__(p, "guard_horizon", 0.05)  # 50 steps: no attempt can decide
         with pytest.raises(error):
-            sample_conditioned_exits(p, n, RngStream(1), budget=budget, workers=2)
+            sample_conditioned_exits(p, n, RngStream(1), workers=2)
         assert multiprocessing.active_children() == []
 
     def test_short_run_starts_no_pool(self):
@@ -404,9 +394,9 @@ class TestConditionedSampling:
         simulated = []
         kernel = exitsim._batch_right_exits
 
-        def counting(problem, attempts, gen):
-            simulated.extend(attempts)
-            return kernel(problem, attempts, gen)
+        def counting(problem, stream, batch):
+            simulated.extend(range(batch * exitsim._BATCH_ATTEMPTS, (batch + 1) * exitsim._BATCH_ATTEMPTS))
+            return kernel(problem, stream, batch)
 
         monkeypatch.setattr(exitsim, "_batch_right_exits", counting)
         cs = sample_conditioned_exits(_problem(), 30, RngStream(17), workers=1)
@@ -458,8 +448,8 @@ class TestBatchedKernel:
         got = sample_conditioned_exits(p, 200, RngStream(2028))
         attempt, steps, tau, normalized = got.columns()
         assert (attempt.dtype, steps.dtype, tau.dtype, normalized.dtype) == (np.int64, np.int64, np.float64, np.float64)
-        assert list(zip(attempt.tolist(), steps.tolist())) == list(got.records)
-        for (_, k), t, x in zip(got.records, tau.tolist(), normalized.tolist()):
+        assert np.array_equal(np.stack([attempt, steps], axis=1), got.records)
+        for (_, k), t, x in zip(got.records.tolist(), tau.tolist(), normalized.tolist()):
             want = exitsim._record(p, k, "right")
             assert (t.hex(), x.hex()) == (want.tau.hex(), want.normalized_time.hex())
 
@@ -529,10 +519,10 @@ class TestBatchedKernel:
                 events.append((kind, result.size))
                 return result
 
-        kernel, refine, fill = exitsim._batch_right_exits, exitsim._needs_refining, exitsim._bridge_fill
+        substream, refine, fill = RngStream.substream, exitsim._needs_refining, exitsim._bridge_fill
 
-        def counting_kernel(problem, attempts, gen):
-            return kernel(problem, attempts, CountingGenerator(gen.bit_generator))
+        def counting_substream(stream, i):
+            return CountingGenerator(substream(stream, i).bit_generator)
 
         def counting_refine(t, lo, hi, prev, knots):
             events.append(("R", knots.size))
@@ -544,7 +534,7 @@ class TestBatchedKernel:
 
         p = _problem(**self.PROBLEMS[name])
         plain = sample_conditioned_exits(p, 20, RngStream(5))
-        monkeypatch.setattr(exitsim, "_batch_right_exits", counting_kernel)
+        monkeypatch.setattr(RngStream, "substream", counting_substream)
         monkeypatch.setattr(exitsim, "_needs_refining", counting_refine)
         monkeypatch.setattr(exitsim, "_bridge_fill", counting_fill)
         assert sample_conditioned_exits(p, 20, RngStream(5)) == plain
