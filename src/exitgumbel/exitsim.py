@@ -626,7 +626,7 @@ def sample_conditioned_exits(problem: ExitProblem, n_accept: int, rng, workers: 
     one at a time until the in-process time left reaches _POOL_BREAK_EVEN_S.
     That time is projected as the seconds per batch so far (0 before the
     first batch) times the batches still needed for n_accept plus 4 standard
-    deviations at the limit acceptance rate. From then on, if workers > 1,
+    deviations at the grid-monitored acceptance rate. From then on, if workers > 1,
     the batches run in waves on a pool of `workers` processes, the first wave
     covering those batches and each later one half the last, down to
     `workers` batches. The noise for attempt i depends only on (stream,
@@ -678,7 +678,8 @@ def sample_conditioned_exits(problem: ExitProblem, n_accept: int, rng, workers: 
         )
 
     max_blocks = math.ceil(_MAX_ATTEMPTS / _BATCH_ATTEMPTS)
-    estimate_blocks = math.ceil((n_accept + 4.0 * math.sqrt(n_accept) + 16.0) / p_limit / _BATCH_ATTEMPTS)
+    estimate = (n_accept + 4.0 * math.sqrt(n_accept) + 16.0) / monitored_right_exit_probability(problem)
+    estimate_blocks = math.ceil(estimate / _BATCH_ATTEMPTS)
     hits, accepted, next_block, wave_blocks = [], 0, 0, 1
     run, workers_used, started = map, 1, time.perf_counter()
     with contextlib.ExitStack() as stack:  # shuts a pool down on every exit

@@ -5,6 +5,7 @@ import math
 import multiprocessing
 import re
 import warnings
+from concurrent import futures
 
 import mpmath as mp
 import numpy as np
@@ -313,10 +314,27 @@ class TestConditionedSampling:
         p, n = _problem(), 600
         serial = sample_conditioned_exits(p, n, RngStream(17), workers=1)
         assert serial.attempts > 3 * exitsim._BATCH_ATTEMPTS
-        monkeypatch.setattr(exitsim, "right_exit_probability", lambda beta, a: 0.9)
+        monkeypatch.setattr(exitsim, "monitored_right_exit_probability", lambda problem: 0.9)
         pooled = sample_conditioned_exits(p, n, RngStream(17), workers=workers)
         assert pooled == serial
         assert pooled.workers_used == workers
+
+    def test_first_pool_wave_covers_the_run(self, monkeypatch):
+        # At epsilon 0.9 the rate is 0.0265, a third of the epsilon -> 0
+        # limit; a first wave sized from the limit ran [4, 2, 2] batches at
+        # seed 1, short of the 8 the run needs.
+        waves = []
+
+        class RecordingPool(futures.ProcessPoolExecutor):
+            def map(self, fn, *iterables, **kwargs):
+                waves.append(len(iterables[-1]))
+                return super().map(fn, *iterables, **kwargs)
+
+        monkeypatch.setattr(futures, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr(exitsim, "_POOL_BREAK_EVEN_S", 0.0)
+        cs = sample_conditioned_exits(_problem(epsilon=0.9), 200, RngStream(1), workers=2)
+        assert cs.workers_used == 2
+        assert len(waves) == 1 and waves[0] * exitsim._BATCH_ATTEMPTS >= cs.attempts
 
     def test_nonpositive_workers_run_in_process(self):
         p = _problem()
