@@ -529,7 +529,8 @@ def _needs_refining(t, lo, hi, prev, knots):
     rx, ry = upper - prev, upper - knots
     lx, ly = prev - lower, knots - lower
     outside = (rx <= 0.0) | (ry <= 0.0) | (lx <= 0.0) | (ly <= 0.0)
-    return outside | (rx * ry < near) | (lx * ly < near)
+    with np.errstate(over="ignore"):  # inf past epsilon ~2e-155: no bridge reaches that far
+        return outside | (rx * ry < near) | (lx * ly < near)
 
 
 def _bridge_fill(t, m, x, y, normals):

@@ -353,6 +353,12 @@ class TestConditionedSampling:
         with pytest.raises(BudgetExceeded):
             sample_conditioned_exits(_problem(), 1000, RngStream(1))
 
+    def test_band_too_wide_for_a_bridge_to_reach(self):
+        # at epsilon <= 2e-155 the bridge test's products overflow to inf,
+        # which is the right answer there, not a warning
+        cs = sample_conditioned_exits(ExitProblem(1.0, 1e-160, 1.0), 5, RngStream(1))
+        assert len(cs.records) == 5
+
     def test_acceptance_rate_near_limit(self):
         p = _problem()
         cs = sample_conditioned_exits(p, 400, RngStream(42))
