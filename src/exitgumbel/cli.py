@@ -259,8 +259,8 @@ def cmd_exit_experiment(args) -> dict:
     steps = problem.guard_horizon / problem.step  # may be inf
     if steps > _MAX_GUARD_STEPS:
         raise UsageError(
-            f"--beta {args.beta:g} and --step {args.step:g} give a guard horizon of {steps:.3g} "
-            f"steps, more than the {_MAX_GUARD_STEPS} the exit kernel can tabulate"
+            f"--beta {args.beta:g}, --epsilon {args.epsilon:g} and --step {args.step:g} give a guard "
+            f"horizon of {steps:.3g} steps, more than the {_MAX_GUARD_STEPS} the exit kernel can tabulate"
         )
     stream = RngStream(seed=args.seed)
     conditioned = sample_conditioned_exits(problem, args.n, stream, workers=args.workers)

@@ -613,6 +613,7 @@ class TestExitExperiment:
             (["--beta", "1e-300"], "4.46e+304"),
             (["--beta", "5e-324"], "inf"),
             (["--step", "1e-9"], "4.46e+10"),
+            (["--epsilon", "1e-310"], "inf"),  # 1/epsilon overflows
         ],
     )
     def test_untabulable_guard_horizon_is_usage_error(self, tmp_path, capsys, flags, steps):
@@ -622,7 +623,7 @@ class TestExitExperiment:
         err = _stdout_json(capsys)["error"]
         assert code == 2
         assert err["type"] == "UsageError"
-        assert "--beta" in err["message"] and "--step" in err["message"]
+        assert all(flag in err["message"] for flag in ("--beta", "--epsilon", "--step"))
         assert f" {steps} steps" in err["message"]
         assert not err["message"].startswith("--epsilon")
         assert not (tmp_path / "exit_samples.csv").exists()
