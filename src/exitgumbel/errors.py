@@ -16,7 +16,7 @@ class GuardExceeded(ExitGumbelError):
 
 
 class BudgetExceeded(ExitGumbelError):
-    """Rejection sampling would need more attempts than the configured cap.
+    """Rejection sampling would need more attempts than the attempt cap.
 
     Raised when the right-exit event is too rare for rejection; the
     closed-form limit-law sampler should be used instead.

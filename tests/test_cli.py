@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -836,6 +837,24 @@ class TestInputGate:
             for action in sub._actions:
                 if "--workers" not in action.option_strings:
                     assert action.type not in (int, float), (name, action.option_strings)
+
+    def test_readme_range_table_matches_the_parser(self):
+        # every flag in the README's range table exists, and every flag that
+        # parses a value by a type of its own is in the table
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        rows = readme.split("| Flag | Range |\n|---|---|\n", 1)[1].split("\n\n", 1)[0].splitlines()
+        table = {flag for row in rows for flag in re.findall(r"--[a-z-]+", row.split("|")[1])}
+        parser = cli.build_parser()
+        subparsers = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        actions = [action for sub in subparsers.choices.values() for action in sub._actions]
+        assert table <= {flag for action in actions for flag in action.option_strings}
+        typed = {
+            flag
+            for action in actions
+            if action.type is not None and action.choices is None
+            for flag in action.option_strings
+        }
+        assert typed - {"--output-dir"} <= table
 
     @pytest.mark.parametrize(
         "argv, flag",
