@@ -678,29 +678,29 @@ def sample_conditioned_exits(problem: ExitProblem, n_accept: int, rng, workers: 
             f"(limit acceptance rate {p_limit:.3g}); use limit_law_sample instead"
         )
 
-    max_blocks = math.ceil(_MAX_ATTEMPTS / _BATCH_ATTEMPTS)
+    max_batches = math.ceil(_MAX_ATTEMPTS / _BATCH_ATTEMPTS)
     estimate = (n_accept + 4.0 * math.sqrt(n_accept) + 16.0) / monitored_right_exit_probability(problem)
-    estimate_blocks = math.ceil(estimate / _BATCH_ATTEMPTS)
-    hits, accepted, next_block, wave_blocks = [], 0, 0, 1
+    estimate_batches = math.ceil(estimate / _BATCH_ATTEMPTS)
+    hits, accepted, next_batch, wave_batches = [], 0, 0, 1
     run, workers_used, started = map, 1, time.perf_counter()
     with contextlib.ExitStack() as stack:  # shuts a pool down on every exit
         while accepted < n_accept:
-            if next_block >= max_blocks:
+            if next_batch >= max_batches:
                 raise BudgetExceeded(f"budget {_MAX_ATTEMPTS} exhausted with {accepted} acceptances")
             if workers_used < workers:  # no pool yet, and one may start
-                left = estimate_blocks - next_block
-                per_block = (time.perf_counter() - started) / next_block if next_block else 0.0
-                if per_block * left >= _POOL_BREAK_EVEN_S:
+                left = estimate_batches - next_batch
+                per_batch = (time.perf_counter() - started) / next_batch if next_batch else 0.0
+                if per_batch * left >= _POOL_BREAK_EVEN_S:
                     from concurrent import futures  # here: an in-process run loads no executor
 
                     run = stack.enter_context(futures.ProcessPoolExecutor(max_workers=workers)).map
-                    workers_used, wave_blocks = workers, max(workers, left)
-            wave = range(next_block, min(next_block + wave_blocks, max_blocks))
-            for batch in run(_batch_right_exits, [problem] * len(wave), [stream] * len(wave), wave):
-                hits.append(batch)
-                accepted += batch[0].size
-            next_block = wave.stop
-            wave_blocks = max(workers_used, wave_blocks // 2)
+                    workers_used, wave_batches = workers, max(workers, left)
+            wave = range(next_batch, min(next_batch + wave_batches, max_batches))
+            for attempt, steps in run(_batch_right_exits, [problem] * len(wave), [stream] * len(wave), wave):
+                hits.append((attempt, steps))
+                accepted += attempt.size
+            next_batch = wave.stop
+            wave_batches = max(workers_used, wave_batches // 2)
 
     records = np.concatenate(hits, axis=1).T[:n_accept]
     return ConditionedSample(problem, records, attempts=int(records[-1, 0]) + 1, workers_used=workers_used)
