@@ -62,7 +62,7 @@ MAX_STEP = 1e-2
 _MAX_BETA_STEP = 354.0  # e^(2*beta*step) in _exact_coefficients overflows past ~354.9
 # Most fine steps a guard horizon may span for conditioned sampling: the
 # kernel's fine-step boundary tables take 16 bytes a step, ~270 MB at this
-# cap (A1 needs 44,606 steps).
+# cap (A1 needs 44,608 steps).
 _MAX_GUARD_STEPS = 2**24
 
 _BGK_RHO = 0.5825971579390107  # -zeta(1/2)/sqrt(2 pi), the discrete-monitoring boundary shift
@@ -97,15 +97,14 @@ class ExitProblem:
     linear drift b(x) = beta*x with slope beta > 0 (units 1/time).
 
     Start point is -epsilon*a, strictly inside (-1, 0). The guard
-    horizon caps simulated time; exits happen almost surely well before
-    the default guard of centering + 40/beta.
+    horizon, derived and not set, caps simulated time; exits happen almost
+    surely well before it.
     """
 
     beta: float
     epsilon: float
     a: float
     step: float = 1e-3
-    guard_horizon: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not (self.beta > 0.0 and math.isfinite(self.beta)):
@@ -123,14 +122,6 @@ class ExitProblem:
                 f"start -epsilon*a = {-self.epsilon * self.a} must lie strictly "
                 "inside (-1, 0)"
             )
-        minimum_guard = self.centering_time + 20.0 / self.beta
-        if self.guard_horizon is None:
-            object.__setattr__(self, "guard_horizon", self.centering_time + 40.0 / self.beta)
-        elif self.guard_horizon < minimum_guard:
-            raise ValueError(
-                f"guard_horizon {self.guard_horizon} is below the minimum "
-                f"{minimum_guard} = centering + 20/beta"
-            )
 
     @property
     def centering_time(self) -> float:
@@ -143,8 +134,14 @@ class ExitProblem:
         return 1.0 / self.epsilon
 
     @property
+    def guard_horizon(self) -> float:
+        """centering + 40/beta."""
+        return self.centering_time + 40.0 / self.beta
+
+    @property
     def guard_steps(self) -> int:
-        return int(math.ceil(self.guard_horizon / self.step))
+        """The guard horizon in fine steps, rounded up to whole knot intervals."""
+        return _COARSE * math.ceil(self.guard_horizon / (_COARSE * self.step))
 
 
 @dataclass(frozen=True)
@@ -471,47 +468,41 @@ def _coarse_tables(problem: ExitProblem):
 
     The path is Y_k = g^k * (-a + I_k) with I_k = s * sum_j g^-j xi_j, which
     is W(V_k) for a Brownian motion W on the clock V_k = (1 - g^-2k)/(2 beta).
-    Knots sit every _COARSE fine steps (the last interval ends at the guard).
-    In I-space the right boundary a + (1/eps)*g^-k decreases and the left
-    one a - (1/eps)*g^-k increases, so over an interval both are tightest
-    at its right knot. Per interval m: first fine step `start`, `length`,
+    Knots sit every _COARSE fine steps, and the guard is a whole number of
+    intervals. In I-space the right boundary a + (1/eps)*g^-k decreases and
+    the left one a - (1/eps)*g^-k increases, so over an interval both are
+    tightest at its right knot. Per interval m: first fine step `start`,
     noise scale g^-start, knot increment sd sqrt(dV), refine threshold
     dV*ln(2/delta)/2, and the boundaries and rejection floor a - c*g^-k at
-    its right knot; per fine offset i = 1.._COARSE: s*g^-i and 1 - g^-2i
-    (the bridge weight's numerator); per interval and offset: the fine-step
-    boundaries a +- (1/eps)*(g^-start * g^-i), the same expressions as at
-    the knots, and +-inf past the interval's length.
+    its right knot; per fine offset i = 1.._COARSE: s*g^-i and the bridge
+    weight (1 - g^-2i)/(1 - g^-2*_COARSE); per interval and offset: the
+    fine-step boundaries a +- (1/eps)*(g^-start * g^-i), the same
+    expressions as at the knots.
     """
     beta, h = problem.beta, problem.step
     _, s = _exact_coefficients(problem)
-    guard = problem.guard_steps
-    start = np.arange(0, guard, _COARSE)
-    length = np.minimum(_COARSE, guard - start)
+    start = np.arange(0, problem.guard_steps, _COARSE)
     offsets = np.arange(1, _COARSE + 1)
     decay = np.exp(-beta * h * offsets)
     scale = np.exp(-beta * h * start)
-    knot_decay = scale * decay[length - 1]
+    knot_decay = scale * decay[-1]
     bound = problem.bound
     bridge_var = -np.expm1(-2.0 * beta * h * offsets)
-    dv = scale * scale * bridge_var[length - 1] / (2.0 * beta)
+    dv = scale * scale * bridge_var[-1] / (2.0 * beta)
     fine_reach = scale[:, None] * decay
     fine_reach *= bound
-    fine_upper, fine_lower = problem.a + fine_reach, problem.a - fine_reach
-    past = offsets > length[:, None]
-    fine_upper[past], fine_lower[past] = np.inf, -np.inf
     tables = dict(
         start=start,
-        length=length,
         scale=scale,
         knot_sd=np.sqrt(dv),
         near=dv * (0.5 * math.log(2.0 / _BRIDGE_DELTA)),
         upper=problem.a + bound * knot_decay,
         lower=problem.a - bound * knot_decay,
         floor=problem.a - _rejection_depth(problem) * knot_decay,
-        fine_upper=fine_upper,
-        fine_lower=fine_lower,
+        fine_upper=problem.a + fine_reach,
+        fine_lower=problem.a - fine_reach,
         step_noise=s * decay,
-        bridge_var=bridge_var,
+        bridge_weight=bridge_var / bridge_var[-1],
     )
     for array in tables.values():
         array.setflags(write=False)
@@ -538,16 +529,13 @@ def _bridge_fill(t, m, x, y, normals):
     y at their right knots: the exact Gaussian bridge on the V clock,
     I = x + W - (dV_i/dV)*(W_end - (y - x)) with W the interval's own walk,
     built in place from `normals` (len(m) rows of _COARSE standard normals).
-    The end point is set to y; columns past an interval's length are unused."""
-    length, scale = t["length"][m], t["scale"][m]
+    The end point is set to y."""
     normals *= t["step_noise"]
     np.cumsum(normals, axis=1, out=normals)
-    normals *= scale[:, None]
-    rows, ends = np.arange(m.size), length - 1
-    weight = t["bridge_var"] / t["bridge_var"][ends][:, None]
-    normals -= weight * (normals[rows, ends] - (y - x))[:, None]
+    normals *= t["scale"][m][:, None]
+    normals -= t["bridge_weight"] * (normals[:, -1] - (y - x))[:, None]
     normals += x[:, None]
-    normals[rows, ends] = y
+    normals[:, -1] = y
     return normals
 
 
@@ -651,7 +639,7 @@ def sample_conditioned_exits(problem: ExitProblem, n_accept: int, rng, workers: 
     c = z/sqrt(2 beta) where 2*tail(z) = delta (c clipped to the left
     boundary); by Levy's maximal inequality it would still exit right with
     probability at most delta. So the output is within total-variation
-    distance attempts * delta * (1 + ceil(guard_steps/64)) of running every
+    distance attempts * delta * (1 + guard_steps/64) of running every
     attempt to its exit with `simulate_exit_exact`, the reference sampler:
     about 9e-8 at beta=1, epsilon=0.01, a=1, h=1e-3 and 1e4 accepted
     (~1.3e5 attempts, 697 intervals). Samples are law-identical to that

@@ -1,5 +1,6 @@
 """Exit-time simulation: the exact-step integrator, conditioning, pathwise coupling,
 and the closed-form limit law."""
+import dataclasses
 import hashlib
 import math
 import multiprocessing
@@ -73,11 +74,19 @@ class TestExitProblem:
                 _problem(beta=beta, a=1e-3)
         assert _problem(beta=3.5e5, a=1e-3).step == 1e-3
 
-    def test_guard_default_and_minimum(self):
+    def test_guard_is_derived(self):
+        # centering + 40/beta, rounded up to whole knot intervals; not a field
         p = _problem()
+        assert [f.name for f in dataclasses.fields(ExitProblem)] == ["beta", "epsilon", "a", "step"]
         assert p.guard_horizon == pytest.approx(math.log(100.0) + 40.0, rel=1e-12)
-        with pytest.raises(ValueError):
+        assert p.guard_steps == 697 * exitsim._COARSE == 44_608
+        with pytest.raises(TypeError):
             _problem(guard_horizon=math.log(100.0) + 10.0)
+
+    def test_guard_cap_is_whole_intervals(self):
+        # so a guard within the CLI's cap of guard_horizon/step stays within it
+        # once rounded up to whole knot intervals
+        assert exitsim._MAX_GUARD_STEPS % exitsim._COARSE == 0
 
     def test_centering(self):
         p = _problem(epsilon=0.001)
@@ -97,7 +106,7 @@ class TestIntegrators:
         assert rec.side in ("left", "right")
         assert rec.tau == pytest.approx(rec.steps_taken * p.step, rel=1e-12)
         assert rec.normalized_time == pytest.approx(rec.tau - p.centering_time, rel=1e-9)
-        assert rec.tau <= p.guard_horizon
+        assert rec.steps_taken <= p.guard_steps
 
     def test_start_near_left_boundary_exits_left_fast(self):
         # boundary of validity: -epsilon*a just inside the left endpoint
@@ -274,6 +283,20 @@ class TestPathwiseCoupling:
             duhamel_exit_time(noise, bad_step)
 
 
+@pytest.fixture
+def one_interval_guard(monkeypatch):
+    """Every problem's guard horizon becomes 0.05: one 64-step interval at
+    h = 1e-3, in which no A1 attempt can settle. The kernel's tables are
+    cached per problem, and the guard is not part of the key, so the cache
+    is cleared on entry and on exit. Pool workers see the patched class
+    because they are forked, the default start method on Linux up to
+    Python 3.13."""
+    exitsim._coarse_tables.cache_clear()
+    monkeypatch.setattr(ExitProblem, "guard_horizon", property(lambda self: 0.05))
+    yield
+    exitsim._coarse_tables.cache_clear()
+
+
 class TestConditionedSampling:
     def test_rejects_bad_arguments(self):
         p = _problem()
@@ -367,10 +390,10 @@ class TestConditionedSampling:
         assert abs(cs.acceptance_rate - want) <= 3.0 * se
 
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_guard_exceeded_propagates(self, monkeypatch, workers):
+    def test_guard_exceeded_propagates(self, monkeypatch, one_interval_guard, workers):
         monkeypatch.setattr(exitsim, "_POOL_BREAK_EVEN_S", 0.0)
         p = _problem()
-        object.__setattr__(p, "guard_horizon", 0.05)  # 50 steps: no attempt can decide
+        assert p.guard_steps == exitsim._COARSE
         with pytest.raises(GuardExceeded):
             simulate_exit_exact(p, RngStream(1).substream(0))
         with pytest.raises(GuardExceeded):
@@ -398,14 +421,14 @@ class TestConditionedSampling:
             sample_conditioned_exits(p, n + 1, stream, workers=workers)
 
     @pytest.mark.parametrize("error", [BudgetExceeded, GuardExceeded])
-    def test_failed_pool_run_leaves_no_worker(self, monkeypatch, error):
+    def test_failed_pool_run_leaves_no_worker(self, monkeypatch, request, error):
         # The pool is entered lazily; it must still shut down when the run
         # ends in an error, raised between waves or from inside one.
         monkeypatch.setattr(exitsim, "_POOL_BREAK_EVEN_S", 0.0)
         monkeypatch.setattr(exitsim, "_MAX_ATTEMPTS", 2 * exitsim._BATCH_ATTEMPTS)
         p, n = _problem(), 155  # one more than the first two batches hold (test_budget_exhaustion)
         if error is GuardExceeded:
-            object.__setattr__(p, "guard_horizon", 0.05)  # 50 steps: no attempt can decide
+            request.getfixturevalue("one_interval_guard")
         with pytest.raises(error):
             sample_conditioned_exits(p, n, RngStream(1), workers=2)
         assert multiprocessing.active_children() == []
@@ -441,12 +464,12 @@ class TestBatchedKernel:
         "narrow": dict(epsilon=0.5),
     }
 
-    # slow: beta = 0.25 at the largest step, h = 1e-2; short: the steep
-    # problem with a guard of 1250 steps, so its last interval is 34 steps.
+    # slow: beta = 0.25 at the largest step, h = 1e-2; tiny: epsilon = 1e-300,
+    # the longest guard (centering ~691) of these.
     MORE_PROBLEMS = {
         **PROBLEMS,
         "slow": dict(beta=0.25, step=1e-2),
-        "short": dict(beta=20.0, a=0.2, guard_horizon=1.25),
+        "tiny": dict(epsilon=1e-300),
     }
     # SHA-256 of the (attempt index, steps taken) pairs, as little-endian
     # int64, of 200 right exits from RngStream(2028). A digest may change
@@ -477,7 +500,26 @@ class TestBatchedKernel:
             want = exitsim._record(p, k, "right")
             assert (t.hex(), x.hex()) == (want.tau.hex(), want.normalized_time.hex())
 
-    @pytest.mark.parametrize("name", ["a1", "steep", "slow", "narrow", "short"])
+    GUARD_STEPS = {"a1": 44_608, "steep": 2_240, "slow": 17_856, "narrow": 40_704, "tiny": 730_816}
+
+    @pytest.mark.parametrize("name", sorted(GUARD_STEPS))
+    def test_guard_is_whole_intervals(self, name):
+        # the shortest run of whole knot intervals that reaches centering + 40/beta
+        p = _problem(**self.MORE_PROBLEMS[name])
+        steps, h = p.guard_steps, p.step
+        assert steps == self.GUARD_STEPS[name]
+        assert steps % exitsim._COARSE == 0
+        assert (steps - exitsim._COARSE) * h < p.centering_time + 40.0 / p.beta <= steps * h
+
+    @pytest.mark.parametrize("name", sorted(GUARD_STEPS))
+    def test_tables_are_finite(self, name):
+        # every interval is _COARSE steps long, so no table entry is padding
+        t = exitsim._coarse_tables(_problem(**self.MORE_PROBLEMS[name]))
+        assert t["start"].size * exitsim._COARSE == self.GUARD_STEPS[name]
+        for key, array in t.items():
+            assert np.isfinite(array).all(), key
+
+    @pytest.mark.parametrize("name", ["a1", "steep", "slow", "narrow"])
     def test_settle_mask_needs_no_other_boundary_test(self, name):
         # The kernel settles an attempt only at a knot <= floor or >= upper.
         # A knot >= upper crosses at its interval's last fine step, whose
@@ -486,9 +528,8 @@ class TestBatchedKernel:
         # both round to a (late knots, whose reach is below half an ulp of a).
         p = _problem(**self.MORE_PROBLEMS[name])
         t = exitsim._coarse_tables(p)
-        rows, ends = np.arange(t["start"].size), t["length"] - 1
-        assert np.array_equal(t["fine_upper"][rows, ends], t["upper"])
-        assert np.array_equal(t["fine_lower"][rows, ends], t["lower"])
+        assert np.array_equal(t["fine_upper"][:, -1], t["upper"])
+        assert np.array_equal(t["fine_lower"][:, -1], t["lower"])
         assert np.all(t["floor"] >= t["lower"])
         clipped = exitsim._rejection_depth(p) == p.bound
         assert clipped == (name == "narrow")
@@ -523,10 +564,11 @@ class TestBatchedKernel:
         p = _problem(**self.MORE_PROBLEMS[name])
         t = exitsim._coarse_tables(p)
         beta, h = p.beta, p.step
-        clock = -np.expm1(-2.0 * beta * h * (t["start"] + t["length"])) / (2.0 * beta)
+        clock = -np.expm1(-2.0 * beta * h * (t["start"] + exitsim._COARSE)) / (2.0 * beta)
         np.testing.assert_allclose(np.cumsum(t["knot_sd"] ** 2), clock, rtol=1e-13, atol=0.0)
         bridge = -np.expm1(-2.0 * beta * h * np.arange(1, exitsim._COARSE + 1)) / (2.0 * beta)
-        np.testing.assert_allclose(t["bridge_var"] / (2.0 * beta), bridge, rtol=1e-13, atol=0.0)
+        np.testing.assert_allclose(t["bridge_weight"] * bridge[-1], bridge, rtol=1e-13, atol=0.0)
+        assert t["bridge_weight"][-1] == 1.0
         np.testing.assert_allclose(np.cumsum(t["step_noise"] ** 2), bridge, rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("name", ["a1", "narrow"])
@@ -571,13 +613,11 @@ class TestBatchedKernel:
 
     @pytest.mark.parametrize("m", [3, -1])
     def test_bridge_fill_matches_bridge_law(self, m):
-        # guard 1250 steps: the last interval is 34 steps long
+        # an early interval and the last one, both _COARSE steps long
         beta, h = 20.0, 1e-3
-        p = _problem(beta=beta, a=0.2, guard_horizon=1.25)
+        p = _problem(beta=beta, a=0.2)
         t = exitsim._coarse_tables(p)
-        m = m % t["start"].size
-        start, length = int(t["start"][m]), int(t["length"][m])
-        assert (m == 3 and length == exitsim._COARSE) or length == 1250 - 19 * 64
+        start, length = int(t["start"][m]), exitsim._COARSE
 
         def clock_gain(k):
             # V(start + k) - V(start) on the clock V(j) = (1 - g^-2j)/(2 beta)
@@ -588,7 +628,7 @@ class TestBatchedKernel:
         x, y = 0.3 * math.sqrt(dv), -0.4 * math.sqrt(dv)
         normals = np.random.default_rng(8).standard_normal((rows, exitsim._COARSE))
         fill = exitsim._bridge_fill(
-            t, np.full(rows, m), np.full(rows, x), np.full(rows, y), normals
+            t, np.full(rows, m % t["start"].size), np.full(rows, x), np.full(rows, y), normals
         )
         assert np.all(fill[:, length - 1] == y)
         mean, var = x + vi / dv * (y - x), vi * (dv - vi) / dv
