@@ -62,7 +62,8 @@ MAX_STEP = 1e-2
 _MAX_BETA_STEP = 354.0  # e^(2*beta*step) in _exact_coefficients overflows past ~354.9
 # Most fine steps a guard horizon may span for conditioned sampling: the
 # kernel's fine-step boundary tables take 16 bytes a step, ~270 MB at this
-# cap (A1 needs 44,608 steps).
+# cap (A1 needs 44,608 steps). A multiple of _COARSE, so a guard within it
+# stays within it once `guard_steps` rounds it up to whole intervals.
 _MAX_GUARD_STEPS = 2**24
 
 _BGK_RHO = 0.5825971579390107  # -zeta(1/2)/sqrt(2 pi), the discrete-monitoring boundary shift
@@ -135,7 +136,7 @@ class ExitProblem:
 
     @property
     def guard_horizon(self) -> float:
-        """centering + 40/beta."""
+        """The cap on simulated time, centering + 40/beta."""
         return self.centering_time + 40.0 / self.beta
 
     @property

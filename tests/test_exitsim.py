@@ -288,9 +288,9 @@ def one_interval_guard(monkeypatch):
     """Every problem's guard horizon becomes 0.05: one 64-step interval at
     h = 1e-3, in which no A1 attempt can settle. The kernel's tables are
     cached per problem, and the guard is not part of the key, so the cache
-    is cleared on entry and on exit. Pool workers see the patched class
-    because they are forked, the default start method on Linux up to
-    Python 3.13."""
+    is cleared on entry and on exit. The pool case relies on the fork start
+    method, the default on Linux through Python 3.13: forked workers
+    inherit the patched class."""
     exitsim._coarse_tables.cache_clear()
     monkeypatch.setattr(ExitProblem, "guard_horizon", property(lambda self: 0.05))
     yield
@@ -617,6 +617,7 @@ class TestBatchedKernel:
         beta, h = 20.0, 1e-3
         p = _problem(beta=beta, a=0.2)
         t = exitsim._coarse_tables(p)
+        m = m % t["start"].size
         start, length = int(t["start"][m]), exitsim._COARSE
 
         def clock_gain(k):
@@ -628,7 +629,7 @@ class TestBatchedKernel:
         x, y = 0.3 * math.sqrt(dv), -0.4 * math.sqrt(dv)
         normals = np.random.default_rng(8).standard_normal((rows, exitsim._COARSE))
         fill = exitsim._bridge_fill(
-            t, np.full(rows, m % t["start"].size), np.full(rows, x), np.full(rows, y), normals
+            t, np.full(rows, m), np.full(rows, x), np.full(rows, y), normals
         )
         assert np.all(fill[:, length - 1] == y)
         mean, var = x + vi / dv * (y - x), vi * (dv - vi) / dv
